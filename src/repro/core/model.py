@@ -64,6 +64,8 @@ class SystemModel:
             raise ValidationError(problems)
 
         self._build_indices()
+        #: event -> fields capturable by every monitor, filled on first use
+        self._max_fields: dict[str, frozenset[str]] = {}
 
     # ------------------------------------------------------------------
     # integrity checking
@@ -301,19 +303,29 @@ class SystemModel:
 
         This is the raw material of the *richness* metric: the union of
         contributing fields across every (deployed monitor, data type)
-        pair evidencing ``event_id``.
+        pair evidencing ``event_id``.  Only the event's providers are
+        walked, so the cost does not grow with the deployment beyond one
+        subset test of its ids.
         """
         if event_id not in self._events:
             raise UnknownIdError("event", event_id)
+        deployed = monitor_ids if isinstance(monitor_ids, (set, frozenset)) else set(monitor_ids)
+        if not self._monitors.keys() >= deployed:
+            raise UnknownIdError("monitor", min(deployed - self._monitors.keys()))
         fields: set[str] = set()
-        for monitor_id in monitor_ids:
-            for dt in self.evidencing_data_types(monitor_id, event_id):
-                fields |= self._evidence_fields[(dt, event_id)]
+        for monitor_id in self._event_monitor_weight[event_id]:
+            if monitor_id in deployed:
+                for dt in self._monitor_event_data_types[monitor_id][event_id]:
+                    fields |= self._evidence_fields[(dt, event_id)]
         return frozenset(fields)
 
     def max_fields_for_event(self, event_id: str) -> frozenset[str]:
         """Fields capturable for an event by deploying *every* monitor."""
-        return self.fields_for_event(event_id, self._event_monitor_weight[event_id])
+        fields = self._max_fields.get(event_id)
+        if fields is None:
+            fields = self.fields_for_event(event_id, self._event_monitor_weight.get(event_id, ()))
+            self._max_fields[event_id] = fields
+        return fields
 
     def attacks_using_event(self, event_id: str) -> frozenset[str]:
         """Ids of attacks with a step referencing ``event_id``."""
@@ -328,8 +340,8 @@ class SystemModel:
         return self._monitor_cost[monitor_id]
 
     def deployment_cost(self, monitor_ids: Iterable[str]) -> CostVector:
-        """Total cost of deploying the given monitors."""
-        return CostVector.total(self.monitor_cost(m) for m in monitor_ids)
+        """Total cost of deploying the given monitors, summed in id order."""
+        return CostVector.total(self.monitor_cost(m) for m in sorted(monitor_ids))
 
     def total_cost(self) -> CostVector:
         """Cost of deploying every monitor in the model."""

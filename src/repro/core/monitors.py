@@ -63,7 +63,9 @@ class CostVector:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "CostVector") -> "CostVector":
-        dims = set(self.values) | set(other.values)
+        # First-seen order, not set order: scalarize() then sums the
+        # dimensions in an order independent of the hash seed.
+        dims = dict.fromkeys([*self.values, *other.values])
         return CostVector({d: self.get(d) + other.get(d) for d in dims})
 
     def __mul__(self, factor: float) -> "CostVector":

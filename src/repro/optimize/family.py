@@ -34,6 +34,7 @@ from repro.core.model import SystemModel
 from repro.metrics.utility import UtilityWeights
 from repro.optimize.formulation import FormulationBuilder
 from repro.solver.model import MilpModel
+from repro.solver.sparse import matrix_nbytes
 
 __all__ = ["ProblemFamily"]
 
@@ -82,19 +83,16 @@ class ProblemFamily:
     def estimated_bytes(self) -> int:
         """Rough footprint of the cached cores, in bytes.
 
-        Exact for the sparse-row memo (each cached row is one
-        ``(cols, vals)`` fragment pair — nnz-proportional, not the
-        dense ``vars x 8`` the old memo charged) plus flat per-term
+        Exact for the sparse-row memo (nnz-proportional, not the dense
+        ``vars x 8`` an earlier memo charged) plus flat per-term
         estimates for the symbolic constraint store.  Consumed by the
         service's LRU-by-bytes cache (:mod:`repro.service.cache`).
         """
         total = 0
         for milp, _builder, _base_rows in self._cores.values():
             total += 96 * milp.num_variables
-            total += sum(
-                cols.nbytes + vals.nbytes + 96
-                for _c, cols, vals, _rhs, _eq in milp._row_cache
-            )
+            rows, memo = milp._row_memo
+            total += 8 * len(rows) + matrix_nbytes(memo)
             total += sum(
                 48 * len(constraint.expression.terms) + 120
                 for constraint in milp.constraints

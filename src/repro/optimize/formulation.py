@@ -34,11 +34,40 @@ from repro.metrics.utility import UtilityWeights
 from repro.solver.expressions import LinearExpression, Variable
 from repro.solver.model import MilpModel
 
-__all__ = ["FormulationBuilder"]
+__all__ = ["FormulationBuilder", "event_weights"]
 
 #: Weights closer than this are treated as equal when deciding whether an
 #: event's coverage can use the cheap single-variable linearization.
 _WEIGHT_TIE_TOLERANCE = 1e-12
+
+
+def event_weights(
+    model: SystemModel, importance: Mapping[str, float] | None = None
+) -> dict[str, float]:
+    """Per-event weight in overall utility.
+
+    ``weight(e) = sum over attacks a containing e of
+    (importance_a / total importance) * (step weight / attack total
+    step weight)`` — exactly the coefficient event-level quantities
+    carry in the reference metrics, so aggregating per event keeps
+    expression and metric identical even when attacks share events.
+    ``importance`` maps every attack id to its importance (default: the
+    model's own); attacks of importance 0 drop out.
+    """
+    attacks = model.attacks
+    if importance is None:
+        importance = {attack_id: attack.importance for attack_id, attack in attacks.items()}
+    total = sum(importance.values())
+    weights: dict[str, float] = {}
+    if total == 0:
+        return weights
+    for attack_id, attack in attacks.items():
+        scale = importance[attack_id] / total / attack.total_step_weight
+        if scale == 0:
+            continue
+        for step in attack.steps:
+            weights[step.event_id] = weights.get(step.event_id, 0.0) + scale * step.weight
+    return weights
 
 
 class FormulationBuilder:
@@ -140,22 +169,18 @@ class FormulationBuilder:
             providers = model.monitors_for_event(event_id)
             # Group fields by the exact monitor set able to capture them;
             # one auxiliary variable per group, weighted by group size.
+            captured_by = {m: model.fields_for_event(event_id, (m,)) for m in providers}
             groups: dict[frozenset[str], int] = {}
             for field_name in capturable:
                 capturing = frozenset(
-                    monitor_id
-                    for monitor_id in providers
-                    if any(
-                        field_name in model.evidence_fields(dt, event_id)
-                        for dt in model.evidencing_data_types(monitor_id, event_id)
-                    )
+                    m for m, fields in captured_by.items() if field_name in fields
                 )
                 if capturing:
                     groups[capturing] = groups.get(capturing, 0) + 1
 
-            expr = LinearExpression()
             per_field = 1.0 / len(capturable)
             ordered = sorted(groups.items(), key=lambda kv: sorted(kv[0]))
+            terms: list[tuple[Variable, float]] = []
             for group_index, (capturing, size) in enumerate(ordered):
                 f = self.milp.continuous(f"rich[{event_id}|g{group_index}]", 0.0, 1.0)
                 any_capturing = LinearExpression.sum_of(
@@ -164,7 +189,8 @@ class FormulationBuilder:
                 self.milp.add_constraint(
                     f <= any_capturing, name=f"rich_any[{event_id}|g{group_index}]"
                 )
-                expr = expr + f * (per_field * size)
+                terms.append((f, per_field * size))
+            expr = LinearExpression.sum_of(terms)
 
         self._richness_level[event_id] = expr
         return expr
@@ -173,76 +199,59 @@ class FormulationBuilder:
     # aggregates
     # ------------------------------------------------------------------
 
-    def event_objective_weights(self) -> dict[str, float]:
-        """Per-event weight in overall utility.
-
-        ``weight(e) = sum over attacks a containing e of
-        (importance_a / total importance) * (step weight / attack total
-        step weight)`` — exactly the coefficient event-level quantities
-        carry in the reference metrics, so aggregating per event keeps
-        expression and metric identical even when attacks share events.
-        """
-        attacks = self.model.attacks
-        total_importance = sum(a.importance for a in attacks.values())
-        weights: dict[str, float] = {}
-        if total_importance == 0:
-            return weights
-        for attack in attacks.values():
-            attack_scale = attack.importance / total_importance / attack.total_step_weight
-            for step in attack.steps:
-                weights[step.event_id] = (
-                    weights.get(step.event_id, 0.0) + attack_scale * step.weight
-                )
-        return weights
-
     def utility_expression(self, weights: UtilityWeights | None = None) -> LinearExpression:
         """Linear expression equal to the combined utility metric.
 
         The assembled expression is cached per weight vector:
-        expressions are immutable, and assembling the sum over every
-        event dominates formulation time on large models, so callers
-        that need the expression twice (objective and a floor
-        constraint, or one instance per sweep point) pay for it once.
+        expressions are immutable, so callers that need it twice
+        (objective and a floor constraint, or one instance per sweep
+        point) share one object.
         """
         weights = weights or UtilityWeights()
         key = (weights.coverage, weights.redundancy, weights.richness, weights.redundancy_cap)
         cached = self._utility_expression.get(key)
-        if cached is not None:
-            return cached
-        expr = LinearExpression()
-        for event_id, base in self.event_objective_weights().items():
-            if weights.coverage > 0:
-                expr = expr + self.coverage_level(event_id) * (weights.coverage * base)
-            if weights.redundancy > 0:
-                expr = expr + self.redundancy_level(event_id, weights.redundancy_cap) * (
-                    weights.redundancy * base
-                )
-            if weights.richness > 0:
-                expr = expr + self.richness_level(event_id) * (weights.richness * base)
-        self._utility_expression[key] = expr
-        return expr
+        if cached is None:
+            cached = self.event_utility_expression(event_weights(self.model), weights)
+            self._utility_expression[key] = cached
+        return cached
+
+    def event_utility_expression(
+        self, per_event: Mapping[str, float], weights: UtilityWeights
+    ) -> LinearExpression:
+        """Utility expression under explicit per-event weights (see
+        :func:`event_weights`), built in one pass over the level terms."""
+
+        def parts():
+            for event_id, base in per_event.items():
+                if weights.coverage > 0:
+                    yield self.coverage_level(event_id), weights.coverage * base
+                if weights.redundancy > 0:
+                    yield (
+                        self.redundancy_level(event_id, weights.redundancy_cap),
+                        weights.redundancy * base,
+                    )
+                if weights.richness > 0:
+                    yield self.richness_level(event_id), weights.richness * base
+
+        return LinearExpression.weighted_sum(parts())
 
     def attack_coverage_expression(self, attack: Attack | str) -> LinearExpression:
         """Linear expression equal to one attack's coverage metric."""
         if isinstance(attack, str):
             attack = self.model.attack(attack)
-        expr = LinearExpression()
-        for step in attack.steps:
-            expr = expr + self.coverage_level(step.event_id) * (
-                step.weight / attack.total_step_weight
-            )
-        return expr
+        return LinearExpression.weighted_sum(
+            (self.coverage_level(step.event_id), step.weight / attack.total_step_weight)
+            for step in attack.steps
+        )
 
     def attack_richness_expression(self, attack: Attack | str) -> LinearExpression:
         """Linear expression equal to one attack's richness metric."""
         if isinstance(attack, str):
             attack = self.model.attack(attack)
-        expr = LinearExpression()
-        for step in attack.steps:
-            expr = expr + self.richness_level(step.event_id) * (
-                step.weight / attack.total_step_weight
-            )
-        return expr
+        return LinearExpression.weighted_sum(
+            (self.richness_level(step.event_id), step.weight / attack.total_step_weight)
+            for step in attack.steps
+        )
 
     def cost_expression(self, dimension_weights: Mapping[str, float] | None = None) -> LinearExpression:
         """Linear expression of the scalarized deployment cost.

@@ -32,12 +32,11 @@ from repro.errors import InfeasibleError, OptimizationError
 from repro.metrics.cost import Budget
 from repro.metrics.utility import UtilityWeights
 from repro.optimize.deployment import Deployment, OptimizationResult
-from repro.optimize.formulation import FormulationBuilder
+from repro.optimize.formulation import FormulationBuilder, event_weights
 from repro.runtime.parallel import parallel_map, resolve_workers
 from repro.runtime.pool import PersistentPool
 from repro.runtime.resilience import MapReport, RetryPolicy
 from repro.solver import SolveSession, solve
-from repro.solver.expressions import LinearExpression
 from repro.solver.model import MilpModel, ObjectiveSense, SolutionStatus
 
 __all__ = [
@@ -89,39 +88,9 @@ def _scenario_event_weights(
     model: SystemModel, scenario: ImportanceScenario
 ) -> dict[str, float]:
     """Per-event utility weights under a scenario's importance values."""
-    importances = {
-        attack_id: scenario.importance_of(model, attack_id) for attack_id in model.attacks
-    }
-    total = sum(importances.values())
-    weights: dict[str, float] = {}
-    if total == 0:
-        return weights
-    for attack in model.attacks.values():
-        scale = importances[attack.attack_id] / total / attack.total_step_weight
-        if scale == 0:
-            continue
-        for step in attack.steps:
-            weights[step.event_id] = weights.get(step.event_id, 0.0) + scale * step.weight
-    return weights
-
-
-def _scenario_utility_expression(
-    builder: FormulationBuilder,
-    scenario: ImportanceScenario,
-    weights: UtilityWeights,
-) -> LinearExpression:
-    """Linear utility expression with scenario-adjusted importances."""
-    expr = LinearExpression()
-    for event_id, base in _scenario_event_weights(builder.model, scenario).items():
-        if weights.coverage > 0:
-            expr = expr + builder.coverage_level(event_id) * (weights.coverage * base)
-        if weights.redundancy > 0:
-            expr = expr + builder.redundancy_level(event_id, weights.redundancy_cap) * (
-                weights.redundancy * base
-            )
-        if weights.richness > 0:
-            expr = expr + builder.richness_level(event_id) * (weights.richness * base)
-    return expr
+    return event_weights(
+        model, {attack_id: scenario.importance_of(model, attack_id) for attack_id in model.attacks}
+    )
 
 
 def scenario_utility(
@@ -171,7 +140,9 @@ def _scenario_optimum_job(
     with obs.span("optimize.scenario_optimum", scenario=scenario.name) as sp:
         milp = MilpModel(f"scenario[{model.name}/{scenario.name}]", ObjectiveSense.MAXIMIZE)
         builder = FormulationBuilder(milp, model)
-        milp.set_objective(_scenario_utility_expression(builder, scenario, weights))
+        milp.set_objective(
+            builder.event_utility_expression(_scenario_event_weights(model, scenario), weights)
+        )
         builder.add_budget_constraints(budget)
         if session is not None:
             solution = session.solve(milp, time_limit=time_limit)
@@ -309,7 +280,9 @@ class RobustMaxUtilityProblem:
         builder = FormulationBuilder(milp, self.model)
         t = milp.continuous("worst_case_utility", 0.0, 1.0)
         for scenario in self.scenarios:
-            expr = _scenario_utility_expression(builder, scenario, self.weights)
+            expr = builder.event_utility_expression(
+                _scenario_event_weights(self.model, scenario), self.weights
+            )
             milp.add_constraint(t <= expr, name=f"scenario[{scenario.name}]")
         builder.add_budget_constraints(self.budget)
         milp.set_objective(t + 0.0)

@@ -6,9 +6,13 @@ operators (``<=``, ``>=``, ``==``) against expressions or numbers yield
 :class:`Constraint` objects ready to be added to a
 :class:`~repro.solver.model.MilpModel`.
 
-Expressions are immutable; every operation returns a new object.  For
-hot construction paths (thousands of terms), use
-:meth:`LinearExpression.sum_of` which builds in one pass.
+Expressions are immutable; every operation returns a new object, so a
+chain of ``+`` copies the whole term dict (and re-checks every
+coefficient) at each step and costs time quadratic in the number of
+terms.  Build hot paths with a single accumulator instead:
+:meth:`LinearExpression.sum_of` for ``(variable, coefficient)`` pairs,
+:meth:`LinearExpression.weighted_sum` for ``(expression, factor)``
+pairs.  Both fill one term dict and construct one expression at the end.
 """
 
 from __future__ import annotations
@@ -130,6 +134,23 @@ class LinearExpression:
         terms: dict[Variable, float] = {}
         for var, coef in pairs:
             terms[var] = terms.get(var, 0.0) + float(coef)
+        return cls(terms, constant)
+
+    @classmethod
+    def weighted_sum(
+        cls, parts: Iterable[tuple["LinearExpression", float]]
+    ) -> "LinearExpression":
+        """Build ``sum(expr * factor)`` in one pass, merging duplicates.
+
+        Equal to the chain ``e = e + expr * factor`` coefficient for
+        coefficient: the same products are added in the same order.
+        """
+        terms: dict[Variable, float] = {}
+        constant = 0.0
+        for expr, factor in parts:
+            for var, coef in expr.terms.items():
+                terms[var] = terms.get(var, 0.0) + coef * factor
+            constant += expr.constant * factor
         return cls(terms, constant)
 
     @staticmethod

@@ -192,17 +192,20 @@ class MilpModel:
         self._names: set[str] = set()
         self._constraints: list[Constraint] = []
         self._objective: LinearExpression = LinearExpression()
-        # Sparse-row memo aligned with _constraints: entry i is
-        # (constraint, cols, vals, signed rhs, is_eq) and is valid
-        # while _constraints[i] is that same (immutable) object — the
+        # Sparse-row memo of the last compile, as (constraints, CSR of
+        # their sign-normalized rows): row i is valid while
+        # _constraints[i] is that same (immutable) object — the
         # fragments name columns, not a vector length, so rows stay
         # valid even after new variables are added.  Lets a formulation
         # family recompile after truncate/append cycles paying only for
-        # the rows that actually changed.  ``cols`` is sorted int32 and
-        # ``vals`` carries no explicit zeros (the LinearExpression
-        # constructor strips them), so compiled matrices are canonical
-        # CSR by construction.
-        self._row_cache: list[tuple[Constraint, np.ndarray, np.ndarray, float, bool]] = []
+        # the rows that actually changed; one CSR rather than two small
+        # arrays per row keeps a compiled model small.  Each row's
+        # columns are sorted int32 and its values carry no explicit
+        # zeros (the LinearExpression constructor strips them), so
+        # compiled matrices are canonical CSR by construction.
+        self._row_memo: tuple[tuple[Constraint, ...], _sp.csr_matrix] = (
+            (), csr_from_rows([], 0)
+        )
 
     # -- variable factories ------------------------------------------------
 
@@ -345,12 +348,14 @@ class MilpModel:
         ub_rhs: list[float] = []
         eq_rows: list[tuple[np.ndarray, np.ndarray]] = []
         eq_rhs: list[float] = []
-        cache = self._row_cache
-        del cache[len(self._constraints):]
+        memo_rows, memo = self._row_memo
+        memo_ptr = memo.indptr.tolist()
+        rows: list[tuple[np.ndarray, np.ndarray]] = []
         for i, constraint in enumerate(self._constraints):
-            entry = cache[i] if i < len(cache) else None
-            if entry is not None and entry[0] is constraint:
-                _, cols, vals, rhs, is_eq = entry
+            negate = constraint.sense is ConstraintSense.GE
+            if i < len(memo_rows) and memo_rows[i] is constraint:
+                lo, hi = memo_ptr[i], memo_ptr[i + 1]
+                cols, vals = memo.indices[lo:hi], memo.data[lo:hi]
             else:
                 terms = constraint.expression.terms
                 cols = np.empty(len(terms), dtype=np.int32)
@@ -361,20 +366,21 @@ class MilpModel:
                 order = np.argsort(cols, kind="stable")
                 cols = np.ascontiguousarray(cols[order])
                 vals = np.ascontiguousarray(vals[order])
-                rhs = constraint.rhs
-                if constraint.sense is ConstraintSense.GE:
-                    vals, rhs = -vals, -rhs
-                is_eq = constraint.sense is ConstraintSense.EQ
-                if i < len(cache):
-                    cache[i] = (constraint, cols, vals, rhs, is_eq)
-                else:
-                    cache.append((constraint, cols, vals, rhs, is_eq))
-            if is_eq:
-                eq_rows.append((cols, vals))
+                if negate:
+                    vals = -vals
+            rhs = -constraint.rhs if negate else constraint.rhs
+            row = (cols, vals)
+            rows.append(row)
+            if constraint.sense is ConstraintSense.EQ:
+                eq_rows.append(row)
                 eq_rhs.append(rhs)
             else:
-                ub_rows.append((cols, vals))
+                ub_rows.append(row)
                 ub_rhs.append(rhs)
+
+        current = tuple(self._constraints)
+        if memo_rows != current:
+            self._row_memo = (current, csr_from_rows(rows, n))
 
         if dense:
             A_ub = _densify_rows(ub_rows, n)

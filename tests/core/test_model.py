@@ -1,11 +1,22 @@
 """Tests for SystemModel: integrity checking and derived indices."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.casestudy.scaling import ScalingConfig, synthetic_model
 from repro.core import AssetKind, ModelBuilder
 from repro.errors import UnknownIdError, ValidationError
+from repro.metrics.utility import UtilityWeights, utility
 
 from tests.conftest import build_toy_builder
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestIntegrity:
@@ -112,6 +123,16 @@ class TestCoverageRelation:
             toy_model.events_for_monitor("ghost")
         with pytest.raises(UnknownIdError):
             toy_model.evidencing_data_types("ghost", "e1")
+        with pytest.raises(UnknownIdError):
+            toy_model.fields_for_event("e1", ["ghost"])
+        with pytest.raises(UnknownIdError):
+            toy_model.fields_for_event("e1", {"mlog@h1", "ghost"})
+        with pytest.raises(UnknownIdError):
+            toy_model.fields_for_event("ghost", [])
+        with pytest.raises(UnknownIdError):
+            toy_model.max_fields_for_event("ghost")
+        with pytest.raises(UnknownIdError):
+            utility(toy_model, {"ghost"})
 
 
 class TestAttackIndices:
@@ -136,6 +157,26 @@ class TestCosts:
     def test_deployment_cost_sums(self, toy_model):
         cost = toy_model.deployment_cost(["mlog@h1", "mdb@h2"])
         assert cost.as_dict() == {"cpu": 5, "storage": 1}
+
+    def test_deployment_cost_is_hash_seed_independent(self):
+        """The same monitor set costs the same bits in every process,
+        whatever order the process's hash seed gives the set."""
+        script = (
+            "from repro.casestudy.scaling import ScalingConfig, synthetic_model\n"
+            "model = synthetic_model(ScalingConfig(monitors=200, attacks=20, seed=3))\n"
+            "chosen = set(sorted(model.monitors)[::4] + sorted(model.monitors)[1::4])\n"
+            "cost = model.deployment_cost(chosen)\n"
+            "print(repr(cost.scalarize()), sorted(cost.as_dict().items()))\n"
+        )
+        outputs = set()
+        for seed in ("1", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.add(run.stdout)
+        assert len(outputs) == 1, outputs
 
     def test_total_cost(self, toy_model):
         total = toy_model.total_cost()
@@ -164,6 +205,72 @@ class TestFields:
 
     def test_no_evidence_pair_returns_empty(self, toy_model):
         assert toy_model.evidence_fields("ddb", "e1") == frozenset()
+
+
+def brute_force_fields(model, event_id, monitor_ids):
+    """Every deployed monitor's fields for the event, provider or not."""
+    fields = set()
+    for monitor_id in monitor_ids:
+        for dt in model.evidencing_data_types(monitor_id, event_id):
+            fields |= model.evidence_fields(dt, event_id)
+    return frozenset(fields)
+
+
+INPUT_SHAPES = {
+    "list": list,
+    "generator": lambda ids: (m for m in ids),
+    "set": set,
+    "frozenset": frozenset,
+}
+
+
+class TestProviderDrivenFields:
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        return synthetic_model(
+            ScalingConfig(
+                assets=40, monitor_types=8, topology="multizone", zones=3, monitors=80, attacks=30
+            )
+        )
+
+    @pytest.mark.parametrize("shape", sorted(INPUT_SHAPES))
+    def test_fields_for_event_matches_brute_force(self, catalog, shape):
+        ids = sorted(catalog.monitors)
+        rng = random.Random(11)
+        for _ in range(5):
+            deployed = rng.sample(ids, rng.randrange(len(ids) + 1))
+            for event_id in sorted(catalog.events):
+                expected = brute_force_fields(catalog, event_id, deployed)
+                assert catalog.fields_for_event(event_id, INPUT_SHAPES[shape](deployed)) == expected
+        for event_id in sorted(catalog.events):
+            assert catalog.max_fields_for_event(event_id) == brute_force_fields(
+                catalog, event_id, ids
+            )
+
+    @pytest.mark.parametrize("shape", sorted(INPUT_SHAPES))
+    def test_utility_matches_brute_force_fields(self, catalog, shape, monkeypatch):
+        ids = sorted(catalog.monitors)
+        rng = random.Random(5)
+        deployments = [rng.sample(ids, rng.randrange(len(ids) + 1)) for _ in range(4)]
+        weights = UtilityWeights()
+        actual = [utility(catalog, INPUT_SHAPES[shape](d), weights) for d in deployments]
+
+        reference = synthetic_model(
+            ScalingConfig(
+                assets=40, monitor_types=8, topology="multizone", zones=3, monitors=80, attacks=30
+            )
+        )
+        monkeypatch.setattr(
+            reference,
+            "fields_for_event",
+            lambda event_id, monitor_ids: brute_force_fields(reference, event_id, monitor_ids),
+        )
+        monkeypatch.setattr(
+            reference,
+            "max_fields_for_event",
+            lambda event_id: brute_force_fields(reference, event_id, ids),
+        )
+        assert actual == [utility(reference, d, weights) for d in deployments]
 
 
 class TestStats:

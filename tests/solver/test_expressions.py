@@ -58,6 +58,33 @@ class TestAlgebra:
         expr = LinearExpression.sum_of([(x, 1.0), (x, 2.0), (y, -1.0)])
         assert expr.terms == {x: 3.0, y: -1.0}
 
+    def test_weighted_sum_equals_the_chain_term_for_term(self, variables):
+        x, y, z = variables
+        parts = [
+            (0.1 * x + 0.2 * y + 1.0, 3.0),
+            (0.3 * z + 0.7 * x, 0.05),
+            (0.9 * y + 0.4 * z, 1e-3),
+        ]
+        chain = LinearExpression()
+        for expr, factor in parts:
+            chain = chain + expr * factor
+        combined = LinearExpression.weighted_sum(parts)
+        # Variable == Variable builds a constraint, so compare by name.
+        assert [(v.name, c) for v, c in combined.terms.items()] == [
+            (v.name, c) for v, c in chain.terms.items()
+        ]
+        assert combined.constant == chain.constant
+
+    def test_weighted_sum_drops_cancelled_terms(self, variables):
+        x, y, _ = variables
+        combined = LinearExpression.weighted_sum([(0.25 * x + y, 2.0), (0.5 * x, -1.0)])
+        assert combined.terms == {y: 2.0}
+
+    def test_weighted_sum_rejects_non_finite(self, variables):
+        x, _, _ = variables
+        with pytest.raises(SolverError):
+            LinearExpression.weighted_sum([(x * 1e308, 1e308)])
+
     def test_builtin_sum_works(self, variables):
         x, y, z = variables
         expr = sum([x, y, z], LinearExpression())

@@ -178,6 +178,22 @@ class TestTruncateAndRecompile:
             reused.add_constraint(x + 2 * y <= rhs, name="budget")
             self.assert_identical(reused.compile(), self.build(rhs).compile())
 
+    def test_recompile_without_changes_keeps_the_row_memo(self):
+        model = self.build(1.5)
+        first = model.compile()
+        memo = model._row_memo
+        self.assert_identical(model.compile(), first)
+        assert model._row_memo is memo
+
+    def test_truncate_without_reappend_recompiles_the_shorter_model(self):
+        model = self.build(1.5)
+        model.compile()
+        model.truncate_constraints(2)
+        shorter = self.build(1.5)
+        shorter.truncate_constraints(2)
+        self.assert_identical(model.compile(), shorter.compile())
+        assert len(model._row_memo[0]) == 2
+
     def test_truncate_drops_trailing_constraints(self):
         model = self.build(1.0)
         model.truncate_constraints(2)
