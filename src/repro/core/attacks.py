@@ -11,7 +11,7 @@ per-attack placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["Event", "AttackStep", "Attack"]
 
@@ -87,6 +87,7 @@ class Attack:
     steps: tuple[AttackStep, ...]
     importance: float = 1.0
     description: str = ""
+    _total_step_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.attack_id:
@@ -100,6 +101,7 @@ class Attack:
             )
         if len({s.event_id for s in self.steps}) != len(self.steps):
             raise ValueError(f"attack {self.attack_id!r} references an event in two steps")
+        object.__setattr__(self, "_total_step_weight", sum(s.weight for s in self.steps))
 
     @property
     def event_ids(self) -> tuple[str, ...]:
@@ -113,8 +115,8 @@ class Attack:
 
     @property
     def total_step_weight(self) -> float:
-        """Sum of step weights (the coverage normalizer)."""
-        return sum(s.weight for s in self.steps)
+        """Sum of step weights (the coverage normalizer), summed once."""
+        return self._total_step_weight
 
     def step_for_event(self, event_id: str) -> AttackStep:
         """The step referencing ``event_id``.

@@ -20,6 +20,7 @@ optimizer code paths are pure lookups.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 from repro.core.assets import Asset, Topology
 from repro.core.attacks import Attack, Event
@@ -66,6 +67,8 @@ class SystemModel:
         self._build_indices()
         #: event -> fields capturable by every monitor, filled on first use
         self._max_fields: dict[str, frozenset[str]] = {}
+        #: cost of every monitor, filled on first use
+        self._total_cost: CostVector | None = None
 
     # ------------------------------------------------------------------
     # integrity checking
@@ -272,10 +275,13 @@ class SystemModel:
     # ------------------------------------------------------------------
 
     def monitors_for_event(self, event_id: str) -> Mapping[str, float]:
-        """Monitors able to evidence ``event_id``, with their best weight."""
+        """Monitors able to evidence ``event_id``, with their best weight.
+
+        A read-only view of the model's own index, not a copy.
+        """
         if event_id not in self._events:
             raise UnknownIdError("event", event_id)
-        return dict(self._event_monitor_weight[event_id])
+        return MappingProxyType(self._event_monitor_weight[event_id])
 
     def events_for_monitor(self, monitor_id: str) -> Mapping[str, float]:
         """Events the monitor can evidence, with the best weight per event."""
@@ -344,8 +350,10 @@ class SystemModel:
         return CostVector.total(self.monitor_cost(m) for m in sorted(monitor_ids))
 
     def total_cost(self) -> CostVector:
-        """Cost of deploying every monitor in the model."""
-        return CostVector.total(self._monitor_cost.values())
+        """Cost of deploying every monitor in the model (computed once)."""
+        if self._total_cost is None:
+            self._total_cost = CostVector.total(self._monitor_cost.values())
+        return self._total_cost
 
     def coverable_events(self) -> frozenset[str]:
         """Events evidenced by at least one monitor in the model."""

@@ -21,6 +21,7 @@ from collections.abc import Iterable
 
 from repro.core.attacks import Attack
 from repro.core.model import SystemModel
+from repro.metrics.coverage import id_set, importance_weighted_mean, step_weighted_mean
 
 __all__ = ["event_confidence", "attack_confidence", "overall_confidence"]
 
@@ -28,7 +29,7 @@ __all__ = ["event_confidence", "attack_confidence", "overall_confidence"]
 def event_confidence(model: SystemModel, deployed: Iterable[str], event_id: str) -> float:
     """Probability at least one deployed monitor records ``event_id``."""
     providers = model.monitors_for_event(event_id)
-    deployed_set = set(deployed)
+    deployed_set = id_set(deployed)
     miss_probability = 1.0
     for monitor_id, weight in providers.items():
         if monitor_id not in deployed_set:
@@ -43,22 +44,11 @@ def attack_confidence(model: SystemModel, deployed: Iterable[str], attack: Attac
     """Step-weighted average event confidence for one attack."""
     if isinstance(attack, str):
         attack = model.attack(attack)
-    deployed_set = set(deployed)
-    weighted = sum(
-        step.weight * event_confidence(model, deployed_set, step.event_id)
-        for step in attack.steps
-    )
-    return weighted / attack.total_step_weight
+    deployed_set = id_set(deployed)
+    return step_weighted_mean(attack, lambda e: event_confidence(model, deployed_set, e))
 
 
 def overall_confidence(model: SystemModel, deployed: Iterable[str]) -> float:
     """Importance-weighted average attack confidence, in ``[0, 1]``."""
-    attacks = model.attacks
-    if not attacks:
-        return 0.0
-    deployed_set = set(deployed)
-    total_importance = sum(a.importance for a in attacks.values())
-    weighted = sum(
-        a.importance * attack_confidence(model, deployed_set, a) for a in attacks.values()
-    )
-    return weighted / total_importance
+    deployed_set = id_set(deployed)
+    return importance_weighted_mean(model, lambda e: event_confidence(model, deployed_set, e))

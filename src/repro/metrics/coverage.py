@@ -10,12 +10,15 @@ the importance-weighted average across attacks.  All values lie in
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Set
 
 from repro.core.attacks import Attack
 from repro.core.model import SystemModel
 
 __all__ = [
+    "id_set",
+    "step_weighted_mean",
+    "importance_weighted_mean",
     "event_coverage",
     "attack_coverage",
     "overall_coverage",
@@ -27,13 +30,50 @@ __all__ = [
 ]
 
 
+def id_set(ids: Iterable[str]) -> Set[str]:
+    """``ids`` as a set, without copying one that already is."""
+    return ids if isinstance(ids, (set, frozenset)) else set(ids)
+
+
+def step_weighted_mean(attack: Attack, event_value: Callable[[str], float]) -> float:
+    """Step-weighted average of ``event_value`` over an attack's events."""
+    total = sum(step.weight * event_value(step.event_id) for step in attack.steps)
+    return total / attack.total_step_weight
+
+
+def importance_weighted_mean(
+    model: SystemModel, event_value: Callable[[str], float]
+) -> float:
+    """Importance-weighted average over attacks of :func:`step_weighted_mean`.
+
+    The aggregation shared by every ``overall_*`` metric.  Each event is
+    evaluated once per call, however many attacks share it, and the
+    sums run in the same order as attack-by-attack evaluation, so the
+    result is the same float.  A model without attacks scores 0.
+    """
+    attacks = model.attacks
+    if not attacks:
+        return 0.0
+    values: dict[str, float] = {}
+
+    def once(event_id: str) -> float:
+        value = values.get(event_id)
+        if value is None:
+            value = values[event_id] = event_value(event_id)
+        return value
+
+    total_importance = sum(a.importance for a in attacks.values())
+    weighted = sum(a.importance * step_weighted_mean(a, once) for a in attacks.values())
+    return weighted / total_importance
+
+
 def event_coverage(model: SystemModel, deployed: Iterable[str], event_id: str) -> float:
     """Best evidence weight for ``event_id`` among deployed monitors.
 
     Returns 0 when no deployed monitor evidences the event.
     """
     providers = model.monitors_for_event(event_id)
-    deployed_set = set(deployed)
+    deployed_set = id_set(deployed)
     return max((w for m, w in providers.items() if m in deployed_set), default=0.0)
 
 
@@ -41,11 +81,8 @@ def attack_coverage(model: SystemModel, deployed: Iterable[str], attack: Attack 
     """Step-weighted average event coverage for one attack, in ``[0, 1]``."""
     if isinstance(attack, str):
         attack = model.attack(attack)
-    deployed_set = set(deployed)
-    covered = sum(
-        step.weight * event_coverage(model, deployed_set, step.event_id) for step in attack.steps
-    )
-    return covered / attack.total_step_weight
+    deployed_set = id_set(deployed)
+    return step_weighted_mean(attack, lambda e: event_coverage(model, deployed_set, e))
 
 
 def overall_coverage(model: SystemModel, deployed: Iterable[str]) -> float:
@@ -54,15 +91,8 @@ def overall_coverage(model: SystemModel, deployed: Iterable[str]) -> float:
     A model without attacks has vacuous coverage 0: there is nothing to
     cover, and reporting 1 would make empty models look ideal.
     """
-    attacks = model.attacks
-    if not attacks:
-        return 0.0
-    deployed_set = set(deployed)
-    total_importance = sum(a.importance for a in attacks.values())
-    weighted = sum(
-        a.importance * attack_coverage(model, deployed_set, a) for a in attacks.values()
-    )
-    return weighted / total_importance
+    deployed_set = id_set(deployed)
+    return importance_weighted_mean(model, lambda e: event_coverage(model, deployed_set, e))
 
 
 def asset_weighted_coverage(model: SystemModel, deployed: Iterable[str]) -> float:

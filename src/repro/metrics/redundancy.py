@@ -15,6 +15,7 @@ from collections.abc import Iterable
 from repro.core.attacks import Attack
 from repro.core.model import SystemModel
 from repro.errors import MetricError
+from repro.metrics.coverage import id_set, importance_weighted_mean, step_weighted_mean
 
 __all__ = [
     "DEFAULT_REDUNDANCY_CAP",
@@ -38,7 +39,7 @@ def _check_cap(cap: int) -> None:
 def event_evidence_count(model: SystemModel, deployed: Iterable[str], event_id: str) -> int:
     """Number of deployed monitors providing evidence for ``event_id``."""
     providers = model.monitors_for_event(event_id)
-    deployed_set = set(deployed)
+    deployed_set = id_set(deployed)
     return sum(1 for m in providers if m in deployed_set)
 
 
@@ -64,12 +65,10 @@ def attack_redundancy(
     _check_cap(cap)
     if isinstance(attack, str):
         attack = model.attack(attack)
-    deployed_set = set(deployed)
-    weighted = sum(
-        step.weight * event_redundancy(model, deployed_set, step.event_id, cap)
-        for step in attack.steps
+    deployed_set = id_set(deployed)
+    return step_weighted_mean(
+        attack, lambda e: event_redundancy(model, deployed_set, e, cap)
     )
-    return weighted / attack.total_step_weight
 
 
 def overall_redundancy(
@@ -77,12 +76,7 @@ def overall_redundancy(
 ) -> float:
     """Importance-weighted average attack redundancy, in ``[0, 1]``."""
     _check_cap(cap)
-    attacks = model.attacks
-    if not attacks:
-        return 0.0
-    deployed_set = set(deployed)
-    total_importance = sum(a.importance for a in attacks.values())
-    weighted = sum(
-        a.importance * attack_redundancy(model, deployed_set, a, cap) for a in attacks.values()
+    deployed_set = id_set(deployed)
+    return importance_weighted_mean(
+        model, lambda e: event_redundancy(model, deployed_set, e, cap)
     )
-    return weighted / total_importance

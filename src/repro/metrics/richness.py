@@ -16,6 +16,7 @@ from collections.abc import Iterable
 
 from repro.core.attacks import Attack
 from repro.core.model import SystemModel
+from repro.metrics.coverage import id_set, importance_weighted_mean, step_weighted_mean
 
 __all__ = [
     "event_richness",
@@ -42,24 +43,14 @@ def attack_richness(model: SystemModel, deployed: Iterable[str], attack: Attack 
     """Step-weighted average event richness for one attack, in ``[0, 1]``."""
     if isinstance(attack, str):
         attack = model.attack(attack)
-    deployed_set = set(deployed)
-    weighted = sum(
-        step.weight * event_richness(model, deployed_set, step.event_id) for step in attack.steps
-    )
-    return weighted / attack.total_step_weight
+    deployed_set = id_set(deployed)
+    return step_weighted_mean(attack, lambda e: event_richness(model, deployed_set, e))
 
 
 def overall_richness(model: SystemModel, deployed: Iterable[str]) -> float:
     """Importance-weighted average attack richness, in ``[0, 1]``."""
-    attacks = model.attacks
-    if not attacks:
-        return 0.0
-    deployed_set = set(deployed)
-    total_importance = sum(a.importance for a in attacks.values())
-    weighted = sum(
-        a.importance * attack_richness(model, deployed_set, a) for a in attacks.values()
-    )
-    return weighted / total_importance
+    deployed_set = id_set(deployed)
+    return importance_weighted_mean(model, lambda e: event_richness(model, deployed_set, e))
 
 
 def deployment_field_census(

@@ -1,15 +1,16 @@
 """Shared formulation cores for families of related MILPs.
 
-A budget sweep or a frontier enumeration solves many instances over the
-*same* system model and utility weights: the binary selection variables,
-the per-event metric linearizations, and the objective are rebuilt
-identically at every point, and only a handful of rows (budget limits, a
-cost cap, a utility floor) change.  On large models that rebuild is a
-third or more of sweep wall time.
+A budget sweep, a frontier enumeration, or a stream of service jobs
+solves many instances over the *same* system model and utility
+weights: the binary selection variables, the per-event metric
+linearizations, and the objective are rebuilt identically at every
+point, and only a handful of rows (budget limits, a cost cap, a utility
+floor) change.  On large models that rebuild is a third or more of
+sweep wall time.
 
 :class:`ProblemFamily` amortizes it exactly.  Each distinct problem
-*shape* (keyed by the caller) builds its expensive core once; before
-every reuse the model is rolled back to the core's constraint count with
+*shape* builds its expensive core once; before every reuse the model is
+rolled back to the core's constraint count with
 :meth:`~repro.solver.model.MilpModel.truncate_constraints` and the
 caller re-appends the per-instance rows in the same order a cold build
 would.  Because variables, the objective, and row order are identical
@@ -17,6 +18,15 @@ to a from-scratch build, the compiled standard form — and therefore the
 solver's answer, down to tie-breaking — is bit-identical to a cold
 solve.  Per-instance rows must not introduce new variables; every core
 factory used here materializes all auxiliary encodings up front.
+
+Every job kind extends one of two shapes (:func:`shared_core`), so a
+warm family holds two cores whatever mix of jobs it serves:
+
+* ``"max-utility"`` — utility objective; a max-utility problem appends
+  its budget/forced/cardinality rows, a frontier step its cost cap;
+* ``"min-cost"`` — cost objective plus the materialized utility
+  encoding; a min-cost problem whose only requirement is a utility
+  floor, and a frontier trimming step, append the floor row.
 
 Families hold live model state, so (like
 :class:`~repro.solver.session.SolveSession`) they are neither
@@ -31,15 +41,46 @@ from collections.abc import Callable
 
 from repro import obs
 from repro.core.model import SystemModel
+from repro.errors import OptimizationError
 from repro.metrics.utility import UtilityWeights
 from repro.optimize.formulation import FormulationBuilder
-from repro.solver.model import MilpModel
+from repro.solver.model import MilpModel, ObjectiveSense
 from repro.solver.sparse import matrix_nbytes
 
-__all__ = ["ProblemFamily"]
+__all__ = ["MAX_UTILITY", "MIN_COST", "ProblemFamily", "shared_core"]
 
 #: Process-wide uid so two families never share a session key.
 _FAMILY_IDS = itertools.count()
+
+#: Core key of the utility-maximizing shape.
+MAX_UTILITY = "max-utility"
+#: Core key of the cost-minimizing shape with a utility floor.
+MIN_COST = "min-cost"
+
+
+def _max_utility_core(
+    model: SystemModel, weights: UtilityWeights
+) -> tuple[MilpModel, FormulationBuilder]:
+    milp = MilpModel(f"max-utility[{model.name}]", ObjectiveSense.MAXIMIZE)
+    builder = FormulationBuilder(milp, model)
+    milp.set_objective(builder.utility_expression(weights))
+    return milp, builder
+
+
+def _min_cost_core(
+    model: SystemModel, weights: UtilityWeights
+) -> tuple[MilpModel, FormulationBuilder]:
+    milp = MilpModel(f"min-cost[{model.name}]", ObjectiveSense.MINIMIZE)
+    builder = FormulationBuilder(milp, model)
+    milp.set_objective(builder.cost_expression())
+    # Materialize the utility encoding into the core: the builder
+    # caches the expression, so a per-instance floor row adds no rows
+    # beyond itself on reuse.
+    builder.utility_expression(weights)
+    return milp, builder
+
+
+_CORE_FACTORIES = {MAX_UTILITY: _max_utility_core, MIN_COST: _min_cost_core}
 
 
 class ProblemFamily:
@@ -51,10 +92,8 @@ class ProblemFamily:
         The system model every instance of the family formulates.
     weights:
         Utility weights baked into the cores' objectives and floors;
-        library defaults if omitted.  Consumers must check their own
-        weights against :attr:`weights` before reusing a core — a core
-        built for different weights would silently optimize the wrong
-        objective.
+        library defaults if omitted.  Consumers call
+        :meth:`check_compatible` before reusing a core.
     """
 
     def __init__(self, model: SystemModel, weights: UtilityWeights | None = None):
@@ -63,6 +102,18 @@ class ProblemFamily:
         self._uid = next(_FAMILY_IDS)
         #: key -> (milp, builder, constraint count of the frozen core)
         self._cores: dict[str, tuple[MilpModel, FormulationBuilder, int]] = {}
+
+    def check_compatible(self, model: SystemModel, weights: UtilityWeights) -> None:
+        """Raise :class:`~repro.errors.OptimizationError` unless this
+        family was built over ``model`` (the same instance) and
+        ``weights``: a core built for other weights would silently
+        optimize the wrong objective."""
+        if self.model is not model:
+            raise OptimizationError(
+                "ProblemFamily was built over a different model instance"
+            )
+        if self.weights != weights:
+            raise OptimizationError("ProblemFamily was built for different utility weights")
 
     def session_key(self, core_key: str) -> str:
         """Stable session family key for one of this family's cores.
@@ -91,8 +142,9 @@ class ProblemFamily:
         total = 0
         for milp, _builder, _base_rows in self._cores.values():
             total += 96 * milp.num_variables
-            rows, memo = milp._row_memo
-            total += 8 * len(rows) + matrix_nbytes(memo)
+            memo = milp._row_memo
+            total += 8 * len(memo.constraints) + matrix_nbytes(memo.matrix)
+            total += memo.rhs.nbytes + memo.eq.nbytes
             total += sum(
                 48 * len(constraint.expression.terms) + 120
                 for constraint in milp.constraints
@@ -122,3 +174,24 @@ class ProblemFamily:
         milp.truncate_constraints(base_rows)
         obs.counter("optimize.family.reuses").inc()
         return milp, builder
+
+
+def shared_core(
+    key: str,
+    model: SystemModel,
+    weights: UtilityWeights,
+    family: ProblemFamily | None = None,
+) -> tuple[MilpModel, FormulationBuilder]:
+    """The :data:`MAX_UTILITY` or :data:`MIN_COST` core, ready to extend.
+
+    Taken from ``family`` (rolled back) when one is given, built cold
+    otherwise; the two compile identically once the caller appends the
+    same rows.
+    """
+
+    def build() -> tuple[MilpModel, FormulationBuilder]:
+        return _CORE_FACTORIES[key](model, weights)
+
+    if family is None:
+        return build()
+    return family.core(key, build)

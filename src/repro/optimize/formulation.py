@@ -89,6 +89,7 @@ class FormulationBuilder:
         self._redundancy_level: dict[tuple[str, int], LinearExpression] = {}
         self._richness_level: dict[str, LinearExpression] = {}
         self._utility_expression: dict[tuple[float, float, float, int], LinearExpression] = {}
+        self._spend: dict[str, LinearExpression] = {}
 
     # ------------------------------------------------------------------
     # per-event levels
@@ -280,11 +281,24 @@ class FormulationBuilder:
         for dimension in sorted(budget.dimensions):
             limit = budget.limit(dimension)
             assert limit is not None
+            self.milp.add_constraint(
+                self._spend_expression(dimension) <= limit, name=f"budget[{dimension}]"
+            )
+
+    def _spend_expression(self, dimension: str) -> LinearExpression:
+        """Linear expression of the deployment's spend in one dimension.
+
+        Cached per dimension, like the utility expression: every budget
+        row a family core re-appends shares one expression.
+        """
+        spend = self._spend.get(dimension)
+        if spend is None:
             spend = LinearExpression.sum_of(
                 (self.selection[m], self.model.monitor_cost(m).get(dimension))
                 for m in self.model.monitors
             )
-            self.milp.add_constraint(spend <= limit, name=f"budget[{dimension}]")
+            self._spend[dimension] = spend
+        return spend
 
     def add_full_coverage_constraint(self, attack: Attack | str, min_sources: int = 1) -> None:
         """Require every *required* step of an attack to be evidenced.

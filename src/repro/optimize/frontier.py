@@ -24,11 +24,10 @@ from repro.core.model import SystemModel
 from repro.errors import OptimizationError
 from repro.metrics.utility import UtilityWeights
 from repro.optimize.deployment import Deployment
-from repro.optimize.family import ProblemFamily
-from repro.optimize.formulation import FormulationBuilder
+from repro.optimize.family import MAX_UTILITY, MIN_COST, ProblemFamily, shared_core
 from repro.runtime.cache import cached_utility
 from repro.solver import SolveSession, solve
-from repro.solver.model import MilpModel, ObjectiveSense, SolutionStatus
+from repro.solver.model import MilpModel, SolutionStatus
 
 __all__ = ["FrontierPoint", "exact_frontier"]
 
@@ -76,19 +75,8 @@ def _solve_at_cost_cap(
     bb_workers: int | None = None,
 ) -> tuple[frozenset[str], float] | None:
     """Max-utility deployment with scalar cost <= cap; None if infeasible."""
-
-    def build_core() -> tuple[MilpModel, FormulationBuilder]:
-        milp = MilpModel(f"frontier[{model.name}]", ObjectiveSense.MAXIMIZE)
-        builder = FormulationBuilder(milp, model)
-        milp.set_objective(builder.utility_expression(weights))
-        return milp, builder
-
-    if family is not None:
-        milp, builder = family.core("frontier-max", build_core)
-        family_key = family.session_key("frontier-max")
-    else:
-        milp, builder = build_core()
-        family_key = None
+    milp, builder = shared_core(MAX_UTILITY, model, weights, family)
+    family_key = family.session_key(MAX_UTILITY) if family is not None else None
     if cost_cap is not None:
         milp.add_constraint(builder.cost_expression() <= cost_cap, name="cost_cap")
     solution = _dispatch(milp, backend, time_limit, session, max_nodes, gap, family_key, bb_workers)
@@ -116,23 +104,8 @@ def _cheapest_at_utility(
     optimum under a cost cap may carry slack cost, which would place a
     dominated point on the frontier.
     """
-
-    def build_core() -> tuple[MilpModel, FormulationBuilder]:
-        milp = MilpModel(f"frontier-cost[{model.name}]", ObjectiveSense.MINIMIZE)
-        builder = FormulationBuilder(milp, model)
-        milp.set_objective(builder.cost_expression())
-        # Materialize the utility encoding into the core: the builder
-        # caches the expression, so the per-instance floor row below
-        # adds no rows beyond itself on reuse.
-        builder.utility_expression(weights)
-        return milp, builder
-
-    if family is not None:
-        milp, builder = family.core("frontier-min", build_core)
-        family_key = family.session_key("frontier-min")
-    else:
-        milp, builder = build_core()
-        family_key = None
+    milp, builder = shared_core(MIN_COST, model, weights, family)
+    family_key = family.session_key(MIN_COST) if family is not None else None
     milp.add_constraint(
         builder.utility_expression(weights) >= utility_floor, name="utility_floor"
     )
@@ -156,6 +129,7 @@ def exact_frontier(
     max_nodes: int | None = None,
     gap: float | None = None,
     bb_workers: int | None = None,
+    family: ProblemFamily | None = None,
 ) -> list[FrontierPoint]:
     """The complete cost–utility Pareto frontier, cheapest point first.
 
@@ -182,6 +156,12 @@ def exact_frontier(
         this many workers (see :mod:`repro.solver.parallel_bb`).
         A throughput knob only: the frontier is bit-identical at any
         worker count.
+    family:
+        A :class:`~repro.optimize.family.ProblemFamily` over this exact
+        ``model`` instance and ``weights``, as on
+        :func:`~repro.optimize.pareto.budget_sweep`: the iterations
+        extend its ``"max-utility"`` and ``"min-cost"`` cores, across
+        calls too.  With ``presolve`` and no family, they share a fresh one.
 
     Each returned point is Pareto-optimal; consecutive points strictly
     increase in both cost and utility.  The last point attains the
@@ -206,7 +186,10 @@ def exact_frontier(
     )
     # The warm path also shares one formulation core per problem shape:
     # only the cost-cap / utility-floor rows are rebuilt per iteration.
-    family = ProblemFamily(model, weights) if session is not None else None
+    if family is not None:
+        family.check_compatible(model, weights)
+    elif session is not None:
+        family = ProblemFamily(model, weights)
     points: list[FrontierPoint] = []
     cost_cap: float | None = None  # start unconstrained: the max-utility end
 

@@ -24,7 +24,7 @@ from repro.errors import InfeasibleError, OptimizationError, SolverError
 from repro.metrics.cost import Budget
 from repro.metrics.utility import UtilityWeights, utility
 from repro.optimize.deployment import Deployment, OptimizationResult
-from repro.optimize.family import ProblemFamily
+from repro.optimize.family import MAX_UTILITY, MIN_COST, ProblemFamily, shared_core
 from repro.optimize.formulation import FormulationBuilder
 from repro.solver import DEFAULT_CHAIN, SolveSession, solve, solve_with_fallback
 from repro.solver.model import MilpModel, ObjectiveSense, SolutionStatus
@@ -81,28 +81,12 @@ class MaxUtilityProblem:
             raise OptimizationError(f"max_monitors must be >= 0, got {max_monitors!r}")
         self.max_monitors = max_monitors
         if family is not None:
-            if family.model is not model:
-                raise OptimizationError(
-                    "ProblemFamily was built over a different model instance"
-                )
-            if family.weights != self.weights:
-                raise OptimizationError(
-                    "ProblemFamily was built for different utility weights"
-                )
+            family.check_compatible(model, self.weights)
         self.family = family
-
-    def _build_core(self) -> tuple[MilpModel, FormulationBuilder]:
-        milp = MilpModel(f"max-utility[{self.model.name}]", ObjectiveSense.MAXIMIZE)
-        builder = FormulationBuilder(milp, self.model)
-        milp.set_objective(builder.utility_expression(self.weights))
-        return milp, builder
 
     def build(self) -> tuple[MilpModel, FormulationBuilder]:
         """Construct the ILP without solving (exposed for inspection/tests)."""
-        if self.family is not None:
-            milp, builder = self.family.core("max-utility", self._build_core)
-        else:
-            milp, builder = self._build_core()
+        milp, builder = shared_core(MAX_UTILITY, self.model, self.weights, self.family)
         builder.add_budget_constraints(self.budget)
         if self.forced_monitors:
             builder.add_forced_selection(self.forced_monitors)
@@ -150,7 +134,7 @@ class MaxUtilityProblem:
                     max_nodes=max_nodes,
                     gap=gap,
                     family_key=(
-                        self.family.session_key("max-utility")
+                        self.family.session_key(MAX_UTILITY)
                         if self.family is not None
                         else None
                     ),
@@ -314,6 +298,12 @@ class MinCostProblem:
 
     The objective is the scalarized cost; ``cost_dimension_weights``
     rebalances dimensions (default: every dimension weighs 1).
+
+    ``family`` shares the :data:`~repro.optimize.family.MIN_COST` core
+    of a :class:`~repro.optimize.family.ProblemFamily` (built over this
+    model instance and weights) when ``min_utility`` is the only
+    requirement and the cost weights are the default: :meth:`build`
+    then appends only the floor row.  Any other request builds cold.
     """
 
     def __init__(
@@ -327,6 +317,7 @@ class MinCostProblem:
         min_attack_richness: Mapping[str, float] | None = None,
         weights: UtilityWeights | None = None,
         cost_dimension_weights: Mapping[str, float] | None = None,
+        family: ProblemFamily | None = None,
     ):
         self.model = model
         self.min_utility = min_utility
@@ -380,12 +371,28 @@ class MinCostProblem:
         for attack_id in self.fully_cover:
             if attack_id not in model.attacks:
                 raise OptimizationError(f"fully_cover references unknown attack {attack_id!r}")
+        if family is not None:
+            family.check_compatible(model, self.weights)
+        #: Whether the request has the shared core's shape: a utility
+        #: floor alone, under the default cost weights.
+        self._floor_only = (
+            min_utility is not None
+            and self.cost_dimension_weights is None
+            and not self.min_attack_coverage
+            and not self.fully_cover
+            and not self.redundant_cover
+            and not self.min_attack_richness
+        )
+        self.family = family
 
     def build(self) -> tuple[MilpModel, FormulationBuilder]:
         """Construct the ILP without solving (exposed for inspection/tests)."""
-        milp = MilpModel(f"min-cost[{self.model.name}]", ObjectiveSense.MINIMIZE)
-        builder = FormulationBuilder(milp, self.model)
-        milp.set_objective(builder.cost_expression(self.cost_dimension_weights))
+        if self._floor_only:
+            milp, builder = shared_core(MIN_COST, self.model, self.weights, self.family)
+        else:
+            milp = MilpModel(f"min-cost[{self.model.name}]", ObjectiveSense.MINIMIZE)
+            builder = FormulationBuilder(milp, self.model)
+            milp.set_objective(builder.cost_expression(self.cost_dimension_weights))
         if self.min_utility is not None:
             milp.add_constraint(
                 builder.utility_expression(self.weights) >= self.min_utility,
@@ -435,7 +442,15 @@ class MinCostProblem:
             sp.set(variables=milp.num_variables, constraints=milp.num_constraints)
             if session is not None:
                 solution = session.solve(
-                    milp, time_limit=time_limit, max_nodes=max_nodes, gap=gap
+                    milp,
+                    time_limit=time_limit,
+                    max_nodes=max_nodes,
+                    gap=gap,
+                    family_key=(
+                        self.family.session_key(MIN_COST)
+                        if self.family is not None and self._floor_only
+                        else None
+                    ),
                 )
             else:
                 solution = solve(

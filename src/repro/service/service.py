@@ -836,6 +836,7 @@ class SolveService:
                 min_utility=request.min_utility,
                 fully_cover=request.fully_cover,
                 weights=weights,
+                family=entry.family,
             )
             return problem.solve(
                 request.backend,
@@ -869,6 +870,7 @@ class SolveService:
                 presolve=self.config.presolve,
                 max_nodes=request.max_nodes,
                 gap=request.gap,
+                family=entry.family,
             )
         raise RequestValidationError([f"unhandled job kind {kind!r}"])
 

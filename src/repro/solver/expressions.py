@@ -195,15 +195,22 @@ class LinearExpression:
 
     # -- comparisons build constraints ---------------------------------------
 
+    def _minus(self, other) -> "LinearExpression":
+        if isinstance(other, Real):
+            # The floats of ``self - other`` in one construction: the
+            # terms are unchanged and the constant is computed as there.
+            return LinearExpression(self.terms, self.constant + float(other) * -1.0)
+        return self - self._coerce(other)
+
     def __le__(self, other) -> "Constraint":
-        return Constraint(self - self._coerce(other), ConstraintSense.LE)
+        return Constraint(self._minus(other), ConstraintSense.LE)
 
     def __ge__(self, other) -> "Constraint":
-        return Constraint(self - self._coerce(other), ConstraintSense.GE)
+        return Constraint(self._minus(other), ConstraintSense.GE)
 
     def __eq__(self, other):  # type: ignore[override]
         if isinstance(other, (Variable, LinearExpression, Real)):
-            return Constraint(self - self._coerce(other), ConstraintSense.EQ)
+            return Constraint(self._minus(other), ConstraintSense.EQ)
         return NotImplemented
 
     def __hash__(self) -> int:

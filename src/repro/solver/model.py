@@ -13,11 +13,12 @@ time; backends always minimize and :class:`Solution` objects report the
 objective in the model's original sense.
 
 Compilation is **sparse by default**: the constraint matrices come back
-as canonical scipy CSR, assembled in ``O(nnz + rows)`` from a
-per-constraint sparse-row memo.  The deployment formulations are well
-under 1% dense at catalog scale, where the historical dense
-``np.zeros(n)``-per-row path cost ``O(rows x vars)`` time and memory
-per compile — seconds and hundreds of megabytes at 1000+ monitors.
+as canonical scipy CSR, cut in ``O(nnz + rows)`` from a row memo that
+keeps the sign-normalized rows of the last compile.  The deployment
+formulations are well under 1% dense at catalog scale, where the
+historical dense ``np.zeros(n)``-per-row path cost ``O(rows x vars)``
+time and memory per compile — seconds and hundreds of megabytes at
+1000+ monitors.
 The dense path is retained behind ``compile(dense=True)`` for
 differential testing and small-model consumers; both paths read the
 same row memo, so their numeric content is bit-identical (the sparse
@@ -32,6 +33,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as _sp
@@ -46,7 +48,8 @@ from repro.solver.expressions import (
     VarKind,
 )
 from repro.solver.sparse import (
-    csr_from_rows,
+    canonical_csr,
+    csr_take_rows,
     dense_equivalent_nbytes,
     matrix_nbytes,
     to_dense,
@@ -174,12 +177,18 @@ class Solution:
             raise SolverError(f"solution has no variable {name!r}") from None
 
 
-def _densify_rows(rows: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
-    """Materialize ``(cols, vals)`` row fragments as a dense matrix."""
-    matrix = np.zeros((len(rows), n))
-    for i, (cols, vals) in enumerate(rows):
-        matrix[i, cols] = vals
-    return matrix
+class _RowMemo(NamedTuple):
+    """The sign-normalized rows of a model's last compile.
+
+    Row ``i`` stays valid while ``constraints[i]`` is that same
+    (immutable) object.  Rows name columns, not a vector width, so
+    they also stay valid after new variables are added.
+    """
+
+    constraints: tuple[Constraint, ...]
+    matrix: _sp.csr_matrix  # canonical CSR, GE rows negated into LE
+    rhs: np.ndarray  # right-hand sides, negated with their GE rows
+    eq: np.ndarray  # bool mask of the EQ rows
 
 
 class MilpModel:
@@ -192,20 +201,21 @@ class MilpModel:
         self._names: set[str] = set()
         self._constraints: list[Constraint] = []
         self._objective: LinearExpression = LinearExpression()
-        # Sparse-row memo of the last compile, as (constraints, CSR of
-        # their sign-normalized rows): row i is valid while
-        # _constraints[i] is that same (immutable) object — the
-        # fragments name columns, not a vector length, so rows stay
-        # valid even after new variables are added.  Lets a formulation
-        # family recompile after truncate/append cycles paying only for
-        # the rows that actually changed; one CSR rather than two small
-        # arrays per row keeps a compiled model small.  Each row's
-        # columns are sorted int32 and its values carry no explicit
-        # zeros (the LinearExpression constructor strips them), so
-        # compiled matrices are canonical CSR by construction.
-        self._row_memo: tuple[tuple[Constraint, ...], _sp.csr_matrix] = (
-            (), csr_from_rows([], 0)
+        # Rows of the last compile.  A recompile keeps the longest
+        # prefix of constraints that are still the memoized objects and
+        # builds only the rows after it, so a formulation family's
+        # truncate/append cycle pays for its per-instance rows alone.
+        self._row_memo = _RowMemo(
+            (),
+            canonical_csr(
+                np.empty(0), np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int32), 0
+            ),
+            np.empty(0),
+            np.empty(0, dtype=bool),
         )
+        # Column vectors of the last compile, keyed by the variable count
+        # (variables are append-only) and the objective object.
+        self._column_memo: tuple | None = None
 
     # -- variable factories ------------------------------------------------
 
@@ -337,73 +347,118 @@ class MilpModel:
                 f"{MAX_DENSE_CELLS}-cell dense limit; use the default "
                 f"sparse compile"
             )
-        c = np.zeros(n)
-        for var, coef in self._objective.terms.items():
-            c[var.index] = coef
-        maximize = self.sense is ObjectiveSense.MAXIMIZE
-        if maximize:
-            c = -c
-
-        ub_rows: list[tuple[np.ndarray, np.ndarray]] = []
-        ub_rhs: list[float] = []
-        eq_rows: list[tuple[np.ndarray, np.ndarray]] = []
-        eq_rhs: list[float] = []
-        memo_rows, memo = self._row_memo
-        memo_ptr = memo.indptr.tolist()
-        rows: list[tuple[np.ndarray, np.ndarray]] = []
-        for i, constraint in enumerate(self._constraints):
-            negate = constraint.sense is ConstraintSense.GE
-            if i < len(memo_rows) and memo_rows[i] is constraint:
-                lo, hi = memo_ptr[i], memo_ptr[i + 1]
-                cols, vals = memo.indices[lo:hi], memo.data[lo:hi]
-            else:
-                terms = constraint.expression.terms
-                cols = np.empty(len(terms), dtype=np.int32)
-                vals = np.empty(len(terms), dtype=np.float64)
-                for k, (var, coef) in enumerate(terms.items()):
-                    cols[k] = var.index
-                    vals[k] = coef
-                order = np.argsort(cols, kind="stable")
-                cols = np.ascontiguousarray(cols[order])
-                vals = np.ascontiguousarray(vals[order])
-                if negate:
-                    vals = -vals
-            rhs = -constraint.rhs if negate else constraint.rhs
-            row = (cols, vals)
-            rows.append(row)
-            if constraint.sense is ConstraintSense.EQ:
-                eq_rows.append(row)
-                eq_rhs.append(rhs)
-            else:
-                ub_rows.append(row)
-                ub_rhs.append(rhs)
-
-        current = tuple(self._constraints)
-        if memo_rows != current:
-            self._row_memo = (current, csr_from_rows(rows, n))
-
+        memo = self._updated_row_memo(n)
+        c, lower, upper, integrality = self._column_vectors(n)
+        # Every returned array is a fresh copy: callers may mutate a
+        # form, and the memo must survive that.
+        ub = np.flatnonzero(~memo.eq)
+        eq = np.flatnonzero(memo.eq)
+        A_ub = csr_take_rows(memo.matrix, ub)
+        A_eq = csr_take_rows(memo.matrix, eq)
         if dense:
-            A_ub = _densify_rows(ub_rows, n)
-            A_eq = _densify_rows(eq_rows, n)
-        else:
-            A_ub = csr_from_rows(ub_rows, n)
-            A_eq = csr_from_rows(eq_rows, n)
-
+            A_ub, A_eq = A_ub.toarray(), A_eq.toarray()
+        maximize = self.sense is ObjectiveSense.MAXIMIZE
         form = StandardForm(
-            c=c,
+            c=-c if maximize else c.copy(),
             A_ub=A_ub,
-            b_ub=np.array(ub_rhs) if ub_rhs else np.empty(0),
+            b_ub=memo.rhs[ub],
             A_eq=A_eq,
-            b_eq=np.array(eq_rhs) if eq_rhs else np.empty(0),
-            lower=np.array([v.lower for v in self._variables]),
-            upper=np.array([v.upper for v in self._variables]),
-            integrality=np.array([v.is_integral for v in self._variables], dtype=bool),
+            b_eq=memo.rhs[eq],
+            lower=lower.copy(),
+            upper=upper.copy(),
+            integrality=integrality.copy(),
             objective_constant=self._objective.constant,
             maximize=maximize,
         )
         obs.gauge("solver.matrix.nbytes").set(float(form.matrix_nbytes))
         obs.gauge("solver.matrix.dense_nbytes").set(float(form.dense_matrix_nbytes))
         return form
+
+    def _updated_row_memo(self, n: int) -> _RowMemo:
+        """The row memo brought up to the current constraints.
+
+        Keeps the longest prefix whose constraints are still the
+        memoized objects as one slice, builds the rows after it in one
+        vectorized pass (columns sorted within each row, ``GE`` rows
+        negated), and assembles the memo once.
+        """
+        memo = self._row_memo
+        constraints = self._constraints
+        kept = memo.constraints
+        limit = min(len(kept), len(constraints))
+        keep = 0
+        while keep < limit and kept[keep] is constraints[keep]:
+            keep += 1
+        if keep == len(kept) == len(constraints) and memo.matrix.shape[1] == n:
+            return memo
+
+        new = constraints[keep:]
+        lengths = np.fromiter(
+            (len(con.expression.terms) for con in new), dtype=np.int32, count=len(new)
+        )
+        nnz = int(lengths.sum())
+        cols = np.fromiter(
+            (var.index for con in new for var in con.expression.terms),
+            dtype=np.int32,
+            count=nnz,
+        )
+        vals = np.fromiter(
+            (coef for con in new for coef in con.expression.terms.values()),
+            dtype=np.float64,
+            count=nnz,
+        )
+        senses = [con.sense for con in new]
+        negate = np.fromiter(
+            (sense is ConstraintSense.GE for sense in senses), dtype=bool, count=len(new)
+        )
+        eq = np.fromiter(
+            (sense is ConstraintSense.EQ for sense in senses), dtype=bool, count=len(new)
+        )
+        rhs = np.fromiter((con.rhs for con in new), dtype=np.float64, count=len(new))
+        np.negative(rhs, out=rhs, where=negate)
+        row_of = np.repeat(np.arange(len(new)), lengths)
+        order = np.lexsort((cols, row_of))
+        cols, vals = cols[order], vals[order]
+        np.negative(vals, out=vals, where=negate[row_of])
+
+        start = int(memo.matrix.indptr[keep])
+        indptr = np.empty(len(constraints) + 1, dtype=np.int32)
+        indptr[: keep + 1] = memo.matrix.indptr[: keep + 1]
+        np.cumsum(lengths, out=indptr[keep + 1 :])
+        indptr[keep + 1 :] += start
+        matrix = canonical_csr(
+            np.concatenate((memo.matrix.data[:start], vals)),
+            np.concatenate((memo.matrix.indices[:start], cols)),
+            indptr,
+            n,
+        )
+        self._row_memo = memo = _RowMemo(
+            tuple(constraints),
+            matrix,
+            np.concatenate((memo.rhs[:keep], rhs)),
+            np.concatenate((memo.eq[:keep], eq)),
+        )
+        return memo
+
+    def _column_vectors(
+        self, n: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The memoized objective (model sense), bounds and integrality."""
+        memo = self._column_memo
+        if memo is None or memo[0] != n or memo[1] is not self._objective:
+            variables = self._variables
+            c = np.zeros(n)
+            for var, coef in self._objective.terms.items():
+                c[var.index] = coef
+            memo = self._column_memo = (
+                n,
+                self._objective,
+                c,
+                np.array([v.lower for v in variables]),
+                np.array([v.upper for v in variables]),
+                np.array([v.is_integral for v in variables], dtype=bool),
+            )
+        return memo[2:]
 
     # -- solution checking -------------------------------------------------------
 

@@ -35,6 +35,11 @@ def solve_scipy_milp(
     ``dense`` compiles the constraint matrices densely instead of CSR —
     retained for differential testing; identical answers, and subject
     to the dense cell limit.
+
+    HiGHS's branch-and-bound node count becomes the solution's
+    ``nodes_explored``; it, the dual bound (model sense) and the final
+    relative gap are also set on the ``solver.scipy_milp`` span as
+    ``mip_node_count``, ``mip_dual_bound`` and ``mip_gap``.
     """
     with obs.span("solver.scipy_milp", model=model.name) as sp:
         solution = _solve(model, time_limit, max_nodes, gap, sp, dense=dense)
@@ -77,15 +82,26 @@ def _solve(
         options=options or None,
     )
 
+    # HiGHS's own search effort, so a trace separates HiGHS work from
+    # the Python around it.  The dual bound is reported in the model's
+    # sense, like the objective.
+    nodes = int(result.get("mip_node_count") or 0)
+    bound = result.get("mip_dual_bound")
+    sp.set(
+        mip_node_count=nodes,
+        mip_dual_bound=None if bound is None else form.objective_in_model_sense(bound),
+        mip_gap=result.get("mip_gap"),
+    )
+
     # scipy.optimize.milp status codes: 0 optimal, 1 iteration/time limit,
     # 2 infeasible, 3 unbounded, 4 numerical trouble.
     if result.status == 2:
-        return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "scipy-milp")
+        return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "scipy-milp", nodes)
     if result.status == 3:
         raise UnboundedError(f"model {model.name!r} is unbounded")
     if result.x is None:
         if result.status == 1:
-            return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "scipy-milp")
+            return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "scipy-milp", nodes)
         raise SolverError(f"scipy milp failed with status {result.status}: {result.message}")
 
     x = np.asarray(result.x, dtype=float)
@@ -97,4 +113,5 @@ def _solve(
         objective=form.objective_in_model_sense(float(form.c @ x)),
         values=values,
         backend="scipy-milp",
+        nodes_explored=nodes,
     )

@@ -9,7 +9,12 @@ right-hand side or objective.  :class:`SolveSession` exploits that:
 * instances are grouped into **families** by a structure signature
   (variables + constraint coefficients, right-hand sides and objective
   excluded), and within a family the previous point's solution seeds
-  branch-and-bound's incumbent whenever it is still feasible;
+  branch-and-bound's incumbent whenever it is still feasible.  An
+  instance extended from a :class:`~repro.optimize.family.
+  ProblemFamily` core names its family directly (``family_key``, the
+  core's session key), skipping the signature hash; max-utility jobs,
+  sweep points and frontier max steps share one such key, min-cost
+  floors and frontier trimming steps another;
 * when the new instance is a pure **tightening** of the previous one
   (same objective and rows, right-hand sides and bounds at least as
   tight), the previous proven optimum is a valid dual bound and is

@@ -7,9 +7,12 @@ dense, so the dense ``O(rows x vars)`` standard form was both the
 compile-time and the memory bottleneck.  This module keeps the small
 amount of CSR plumbing in one place:
 
-* :func:`csr_from_rows` assembles a canonical CSR matrix straight from
-  per-constraint ``(cols, vals)`` row fragments — one ``concatenate``,
-  no intermediate dense rows;
+* :func:`canonical_csr` wraps arrays that already form canonical CSR
+  (the compile row memo builds them that way), without a copy or a
+  ``sum_duplicates`` / ``sort_indices`` pass;
+* :func:`csr_take_rows` copies a subset of a CSR matrix's rows in one
+  vectorized gather (the compile memo splits its rows into the
+  ``<=`` and ``==`` blocks this way);
 * :func:`matrix_nbytes` / :func:`dense_equivalent_nbytes` are the byte
   accounting behind the ``solver.matrix.nbytes`` gauge and the
   service cache's LRU-by-bytes sizing;
@@ -29,7 +32,8 @@ import numpy as np
 from scipy import sparse as sp
 
 __all__ = [
-    "csr_from_rows",
+    "canonical_csr",
+    "csr_take_rows",
     "dense_equivalent_nbytes",
     "digest_update",
     "is_sparse",
@@ -45,34 +49,41 @@ def is_sparse(matrix: object) -> bool:
     return sp.issparse(matrix)
 
 
-def csr_from_rows(
-    rows: list[tuple[np.ndarray, np.ndarray]], num_columns: int
+def canonical_csr(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, num_columns: int
 ) -> sp.csr_matrix:
-    """Assemble a canonical CSR matrix from ``(cols, vals)`` fragments.
+    """Wrap arrays that already form canonical CSR, without copying.
 
-    Each fragment must already be canonical for its row: ``cols``
-    strictly increasing, ``vals`` free of explicit zeros (the compile
-    row memo guarantees both).  Assembly is then pure concatenation —
-    ``O(nnz + rows)`` — and the result needs no ``sum_duplicates`` /
-    ``sort_indices`` pass.
+    ``indptr`` and ``indices`` must be int32 and every row's columns
+    strictly increasing with no explicit zeros.  A uniform int32 index
+    dtype matters: mixing int32 indices with an int64 indptr makes
+    scipy unify (and silently copy) on every construction, including
+    the zero-copy shared-memory reattach.
     """
-    if not rows:
-        return sp.csr_matrix((0, num_columns), dtype=np.float64)
-    # A uniform int32 index dtype matters: mixing int32 indices with an
-    # int64 indptr makes scipy unify (and silently copy) on every
-    # construction, including the zero-copy shared-memory reattach.
-    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum([cols.size for cols, _ in rows], out=indptr[1:])
-    if indptr[-1] == 0:
-        return sp.csr_matrix((len(rows), num_columns), dtype=np.float64)
-    indices = np.concatenate([cols.astype(np.int32, copy=False) for cols, _ in rows])
-    data = np.concatenate([vals for _, vals in rows])
     matrix = sp.csr_matrix(
-        (data, indices, indptr), shape=(len(rows), num_columns), copy=False
+        (data, indices, indptr), shape=(indptr.size - 1, num_columns), copy=False
     )
     matrix.has_sorted_indices = True
     matrix.has_canonical_format = True
     return matrix
+
+
+def csr_take_rows(matrix: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """A canonical CSR copy of ``matrix``'s ``rows``, in the given order.
+
+    One vectorized gather over the selected rows' nonzeros; the result
+    shares no array with ``matrix``.
+    """
+    starts = matrix.indptr[rows]
+    lengths = matrix.indptr[rows + 1] - starts
+    indptr = np.zeros(rows.size + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
+    positions = np.repeat(starts - indptr[:-1], lengths) + np.arange(
+        indptr[-1], dtype=np.int32
+    )
+    return canonical_csr(
+        matrix.data[positions], matrix.indices[positions], indptr, matrix.shape[1]
+    )
 
 
 def to_dense(matrix: np.ndarray | sp.spmatrix) -> np.ndarray:

@@ -107,6 +107,14 @@ class TestCoverageRelation:
         assert "mlog@h1" not in toy_model.monitors_for_event("e3")
         assert toy_model.monitors_for_event("e3") == {"mlog@h2": 0.6}
 
+    def test_monitors_for_event_is_a_read_only_view(self, toy_model):
+        providers = toy_model.monitors_for_event("e1")
+        with pytest.raises(TypeError):
+            providers["mdb@h2"] = 1.0  # type: ignore[index]
+        with pytest.raises(TypeError):
+            del providers["mlog@h1"]  # type: ignore[attr-defined]
+        assert toy_model.monitors_for_event("e1") == {"mlog@h1": 1.0, "mnet@n1": 0.5}
+
     def test_events_for_monitor_is_transpose(self, toy_model):
         for monitor_id in toy_model.monitors:
             for event_id, weight in toy_model.events_for_monitor(monitor_id).items():

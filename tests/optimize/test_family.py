@@ -12,11 +12,12 @@ import pytest
 from repro import obs
 from repro.errors import OptimizationError
 from repro.metrics.cost import Budget
-from repro.metrics.utility import UtilityWeights
-from repro.optimize.family import ProblemFamily
+from repro.metrics.utility import UtilityWeights, utility
+from repro.optimize.family import MAX_UTILITY, MIN_COST, ProblemFamily, shared_core
 from repro.optimize.frontier import exact_frontier
 from repro.optimize.pareto import budget_sweep
-from repro.optimize.problem import MaxUtilityProblem
+from repro.optimize.problem import MaxUtilityProblem, MinCostProblem
+from repro.solver import SolveSession
 from repro.solver.sparse import matrices_equal
 
 FRACTIONS = [0.25, 0.5, 0.75, 1.0]
@@ -56,8 +57,7 @@ class TestFamilyCores:
 
         def factory(tag):
             def build():
-                budget = Budget.fraction_of_total(toy_model, 0.5)
-                milp, builder = MaxUtilityProblem(toy_model, budget)._build_core()
+                milp, builder = shared_core(MAX_UTILITY, toy_model, UtilityWeights())
                 built.append(tag)
                 return milp, builder
 
@@ -120,3 +120,83 @@ class TestWarmEqualsCold:
             assert w.deployment.monitor_ids == c.deployment.monitor_ids
             assert w.scalar_cost == c.scalar_cost
             assert w.utility == c.utility
+
+
+FLOORS = [0.2, 0.5, 0.35, 0.8]
+
+
+class TestSharedCoresAcrossKinds:
+    """Min-cost problems and frontier steps extend the same two cores."""
+
+    def test_min_cost_family_compiles_bit_identical(self, toy_model):
+        family = ProblemFamily(toy_model)
+        ceiling = utility(toy_model, toy_model.monitors)
+        for fraction, floor in zip(FRACTIONS, FLOORS):
+            # Interleave kinds, as service traffic does.
+            budget = Budget.fraction_of_total(toy_model, fraction)
+            MaxUtilityProblem(toy_model, budget, family=family).build()[0].compile()
+            warm, _ = MinCostProblem(
+                toy_model, min_utility=floor * ceiling, family=family
+            ).build()
+            cold, _ = MinCostProblem(toy_model, min_utility=floor * ceiling).build()
+            assert_forms_identical(warm.compile(), cold.compile())
+        assert sorted(family._cores) == [MAX_UTILITY, MIN_COST]
+
+    def test_min_cost_family_answers_match_cold(self, web_model):
+        family = ProblemFamily(web_model)
+        session = SolveSession("scipy", presolve=False)
+        ceiling = utility(web_model, web_model.monitors)
+        for floor in FLOORS:
+            warm = MinCostProblem(
+                web_model, min_utility=floor * ceiling, family=family
+            ).solve(session=session)
+            cold = MinCostProblem(web_model, min_utility=floor * ceiling).solve()
+            assert warm.deployment.monitor_ids == cold.deployment.monitor_ids
+            assert warm.objective == cold.objective
+            assert warm.utility == cold.utility
+            assert warm.stats == cold.stats
+        assert session.family_count == 1  # keyed by the core, not hashed
+
+    def test_other_min_cost_requests_build_cold(self, toy_model):
+        family = ProblemFamily(toy_model)
+        attack_id = sorted(toy_model.attacks)[0]
+        requests = [
+            dict(min_utility=0.1, fully_cover=[attack_id]),
+            dict(min_utility=0.1, cost_dimension_weights={"cpu": 2.0}),
+            dict(fully_cover=[attack_id]),
+        ]
+        for kwargs in requests:
+            warm, _ = MinCostProblem(toy_model, family=family, **kwargs).build()
+            cold, _ = MinCostProblem(toy_model, **kwargs).build()
+            assert_forms_identical(warm.compile(), cold.compile())
+        assert family.core_count == 0
+
+    def test_frontier_with_family_matches_cold(self, toy_model):
+        family = ProblemFamily(toy_model)
+        cold = exact_frontier(toy_model)
+        for _ in range(2):  # the second call reuses both cores
+            warm = exact_frontier(toy_model, family=family)
+            assert len(warm) == len(cold)
+            for c, w in zip(cold, warm):
+                assert w.deployment.monitor_ids == c.deployment.monitor_ids
+                assert w.scalar_cost == c.scalar_cost
+                assert w.utility == c.utility
+        assert sorted(family._cores) == [MAX_UTILITY, MIN_COST]
+
+    def test_min_cost_and_frontier_reject_a_foreign_family(self, toy_model, web_model):
+        with pytest.raises(OptimizationError, match="different model"):
+            MinCostProblem(toy_model, min_utility=0.1, family=ProblemFamily(web_model))
+        with pytest.raises(OptimizationError, match="different model"):
+            exact_frontier(toy_model, family=ProblemFamily(web_model))
+
+    def test_min_cost_and_frontier_reject_mismatched_weights(self, toy_model):
+        family = ProblemFamily(toy_model, UtilityWeights())
+        with pytest.raises(OptimizationError, match="different utility weights"):
+            MinCostProblem(
+                toy_model,
+                min_utility=0.1,
+                weights=UtilityWeights.coverage_only(),
+                family=family,
+            )
+        with pytest.raises(OptimizationError, match="different utility weights"):
+            exact_frontier(toy_model, UtilityWeights.coverage_only(), family=family)

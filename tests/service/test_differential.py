@@ -10,12 +10,14 @@ sessions, result caching, in-flight dedup — may be visible in results.
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
 
-from repro.service import JobStatus, ServiceConfig
-from repro.service.loadgen import traffic
+from repro.optimize.family import MAX_UTILITY, MIN_COST
+from repro.service import JobStatus, ServiceConfig, SolveService
+from repro.service.loadgen import self_submitting, traffic
 from tests.conftest import build_toy_builder
 from tests.service.conftest import canon, oracle_value, run_jobs
 
@@ -88,3 +90,22 @@ def test_warm_answers_are_the_primary_objects(workload):
         # the primary's payload object, not merely an equal value.
         values = {id(r.value) for r in group}
         assert len(values) == 1
+
+
+def test_mixed_kinds_leave_two_cores_per_entry(workload):
+    # Min-cost jobs and frontier steps extend the max-utility and
+    # min-cost cores that every other kind uses, so however the kinds
+    # mix, a warm entry never holds more than those two.
+    requests, oracles = workload
+
+    async def scenario():
+        async with SolveService(ServiceConfig(workers=2)) as service:
+            handles = [await self_submitting(service, r) for r in requests]
+            results = [await h for h in handles]
+            return results, list(service.sessions._entries.values())
+
+    results, entries = asyncio.run(scenario())
+    assert_bit_identical(results, oracles)
+    assert {entry.tenant for entry in entries} == {r.tenant for r in requests}
+    for entry in entries:
+        assert sorted(entry.family._cores) == [MAX_UTILITY, MIN_COST], entry.tenant

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import SolverError, UnboundedError
 from repro.solver import MilpModel, ObjectiveSense, SolutionStatus, solve
 from repro.solver.enumerate import MAX_INTEGER_VARIABLES, solve_by_enumeration
@@ -125,6 +126,15 @@ class TestBackendSpecifics:
         model.set_objective(-1 * x)
         with pytest.raises(SolverError, match="finite bounds"):
             solve_by_enumeration(model)
+
+    def test_scipy_reports_highs_internals(self):
+        with obs.capture() as cap:
+            solution = solve(knapsack_model(), "scipy")
+        (span,) = [s for s in cap.tracer.roots if s.name == "solver.scipy_milp"]
+        assert span.args["mip_node_count"] == solution.nodes_explored >= 1
+        assert span.args["mip_gap"] == pytest.approx(0.0, abs=1e-4)
+        # The dual bound is in the model's (maximization) sense.
+        assert span.args["mip_dual_bound"] == pytest.approx(solution.objective, rel=1e-4)
 
     def test_bnb_reports_nodes(self):
         solution = solve(knapsack_model(), "branch-and-bound")

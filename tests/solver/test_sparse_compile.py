@@ -56,7 +56,8 @@ from repro.solver.lp import solve_lp
 from repro.solver.model import MAX_DENSE_CELLS
 from repro.solver.parallel_bb import solve_parallel_branch_and_bound
 from repro.solver.sparse import (
-    csr_from_rows,
+    canonical_csr,
+    csr_take_rows,
     dense_equivalent_nbytes,
     matrices_equal,
     matrix_nbytes,
@@ -258,31 +259,41 @@ def test_real_cell_limit_matches_catalog_scale_expectations():
     assert 4_166 * 5_853 < MAX_DENSE_CELLS  # 2000m/300a: dense completes
 
 
-# -- csr_from_rows canonical-form unit pins --------------------------------
+# -- csr_take_rows canonical-form unit pins --------------------------------
 
 
-def test_csr_from_rows_builds_canonical_int32_csr():
-    rows = [
-        (np.array([0, 3], dtype=np.int32), np.array([1.5, -2.0])),
-        (np.array([], dtype=np.int32), np.array([])),  # genuine zero row
-        (np.array([1], dtype=np.int32), np.array([4.0])),
-    ]
-    matrix = csr_from_rows(rows, 5)
+def _three_row_csr():
+    # Rows [1.5, 0, 0, -2, 0], a genuine zero row, and [0, 4, 0, 0, 0].
+    return canonical_csr(
+        np.array([1.5, -2.0, 4.0]),
+        np.array([0, 3, 1], dtype=np.int32),
+        np.array([0, 2, 2, 3], dtype=np.int32),
+        5,
+    )
+
+
+def test_csr_take_rows_builds_canonical_int32_csr():
+    source = _three_row_csr()
+    matrix = csr_take_rows(source, np.array([2, 1, 0]))
     assert matrix.shape == (3, 5)
     assert matrix.indices.dtype == np.int32
     assert matrix.indptr.dtype == np.int32
     assert matrix.has_sorted_indices and matrix.has_canonical_format
     expected = np.zeros((3, 5))
-    expected[0, 0], expected[0, 3], expected[2, 1] = 1.5, -2.0, 4.0
+    expected[2, 0], expected[2, 3], expected[0, 1] = 1.5, -2.0, 4.0
     assert np.array_equal(to_dense(matrix), expected)
     assert matrix_nbytes(matrix) == (
         matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
     )
     assert dense_equivalent_nbytes(matrix) == 3 * 5 * 8
+    # A copy: writing through the result leaves the source intact.
+    matrix.data[:] = 0.0
+    assert np.array_equal(source.data, [1.5, -2.0, 4.0])
 
 
-def test_csr_from_rows_handles_the_empty_block():
-    matrix = csr_from_rows([], 7)
-    assert matrix.shape == (0, 7)
+def test_csr_take_rows_handles_the_empty_block():
+    matrix = csr_take_rows(_three_row_csr(), np.array([], dtype=np.intp))
+    assert matrix.shape == (0, 5)
     assert matrix.nnz == 0
-    assert matrices_equal(matrix, csr_from_rows([], 7))
+    assert matrix.indptr.dtype == np.int32
+    assert matrices_equal(matrix, sp.csr_matrix((0, 5)))
