@@ -17,6 +17,7 @@ from repro.analysis.tables import render_table
 from repro.casestudy import synthetic_model
 from repro.metrics.cost import Budget
 from repro.metrics.utility import UtilityWeights
+from repro.optimize.ceiling import ceiling_deployment
 from repro.optimize.greedy import solve_greedy
 from repro.optimize.pareto import budget_sweep
 from repro.optimize.problem import MaxUtilityProblem
@@ -82,19 +83,33 @@ def test_f7_solver_ablation(benchmark, web_model, results_dir):
 # F3-scale sweep for the presolve+session ablation (assets/monitors/
 # attacks/seed match benchmarks/test_f3_scaling_monitors.py at its
 # largest point).  The fractions sample the post-knee region where the
-# per-point formulation cost — the part sessions amortize — is a large
-# share of wall time; very tight budgets degenerate into multi-second
-# HiGHS solves that are identical under both configurations and only
-# dilute the comparison.
-SWEEP_FRACTIONS = [round(0.45 + 0.45 * i / 19, 4) for i in range(20)]
+# per-point formulation cost — the part sessions amortize — is the
+# largest share of wall time, but stay below the start of the utility
+# plateau: budgets on the plateau are answered by the utility-ceiling
+# certificate (repro.optimize.ceiling) without formulating or solving,
+# so they would compare no session at all.  Very tight budgets
+# degenerate into multi-second HiGHS solves that are identical under
+# both configurations and only dilute the comparison.
+SWEEP_POINTS = 20
 
 
-def run_sweep_pair(model):
+def sweep_fractions(model):
+    """``SWEEP_POINTS`` fractions from 75% to 98% of the plateau's start."""
+    ceiling = ceiling_deployment(model)
+    total = model.total_cost()
+    start = max(ceiling.cost.get(dim) / total.get(dim) for dim in total.dimensions)
+    return [
+        round(start * (0.75 + 0.23 * i / (SWEEP_POINTS - 1)), 4)
+        for i in range(SWEEP_POINTS)
+    ]
+
+
+def run_sweep_pair(model, fractions):
     started = time.perf_counter()
-    cold = budget_sweep(model, SWEEP_FRACTIONS, workers=1)
+    cold = budget_sweep(model, fractions, workers=1)
     cold_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    warm = budget_sweep(model, SWEEP_FRACTIONS, workers=1, presolve=True)
+    warm = budget_sweep(model, fractions, workers=1, presolve=True)
     warm_seconds = time.perf_counter() - started
     return cold, cold_seconds, warm, warm_seconds
 
@@ -110,11 +125,15 @@ def test_f7_presolve_session_sweep(benchmark, results_dir):
     the sweep as a whole runs at least twice as fast.
     """
     model = synthetic_model(assets=80, monitors=400, attacks=100, seed=7)
+    fractions = sweep_fractions(model)
     cold, cold_seconds, warm, warm_seconds = benchmark.pedantic(
-        run_sweep_pair, args=(model,), rounds=1, iterations=1
+        run_sweep_pair, args=(model, fractions), rounds=1, iterations=1
     )
 
     for c, w in zip(cold, warm):
+        assert c.result.method == w.result.method == "ilp/scipy-milp", (
+            f"fraction {c.fraction} was not solved: {c.result.method}, {w.result.method}"
+        )
         assert w.result.deployment.monitor_ids == c.result.deployment.monitor_ids, (
             f"warm sweep chose a different deployment at fraction {c.fraction}"
         )
@@ -132,14 +151,14 @@ def test_f7_presolve_session_sweep(benchmark, results_dir):
         ["configuration", "sweep seconds", "speedup"],
         rows,
         precision=4,
-        title=f"F7b — Presolve+session sweep, {len(SWEEP_FRACTIONS)} budgets, 400 monitors",
+        title=f"F7b — Presolve+session sweep, {len(fractions)} budgets, 400 monitors",
     )
     publish(results_dir, "f7_presolve_session_sweep", table)
     publish_json(
         results_dir,
         "f7_presolve_session_sweep",
         {
-            "fractions": SWEEP_FRACTIONS,
+            "fractions": fractions,
             "cold_seconds": cold_seconds,
             "warm_seconds": warm_seconds,
             "speedup": speedup,

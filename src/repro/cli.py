@@ -586,6 +586,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"{counters.get('cache.evictions', 0.0):g} evictions)"
         )
 
+    solves = counters.get("solver.solves", 0.0)
+    certified = counters.get("optimize.ceiling.certified", 0.0)
+    if solves or certified:
+        print(
+            f"\nanswers: {solves:g} solver run(s), "
+            f"{certified:g} certified at the utility ceiling without a solver"
+        )
+
     runs = counters.get("presolve.runs", 0.0)
     if runs:
         cols_before = counters.get("presolve.columns_before", 0.0)

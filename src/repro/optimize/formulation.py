@@ -34,11 +34,19 @@ from repro.metrics.utility import UtilityWeights
 from repro.solver.expressions import LinearExpression, Variable
 from repro.solver.model import MilpModel
 
-__all__ = ["FormulationBuilder", "event_weights"]
+__all__ = ["FormulationBuilder", "check_budget", "event_weights"]
 
 #: Weights closer than this are treated as equal when deciding whether an
 #: event's coverage can use the cheap single-variable linearization.
 _WEIGHT_TIE_TOLERANCE = 1e-12
+
+
+def check_budget(budget: Budget) -> None:
+    """Raise :class:`OptimizationError` for a budget that limits nothing."""
+    if not budget.dimensions:
+        raise OptimizationError(
+            "budget constrains no dimension; use Budget.of(...) with at least one limit"
+        )
 
 
 def event_weights(
@@ -274,10 +282,7 @@ class FormulationBuilder:
 
     def add_budget_constraints(self, budget: Budget) -> None:
         """Add one spending constraint per constrained budget dimension."""
-        if not budget.dimensions:
-            raise OptimizationError(
-                "budget constrains no dimension; use Budget.of(...) with at least one limit"
-            )
+        check_budget(budget)
         for dimension in sorted(budget.dimensions):
             limit = budget.limit(dimension)
             assert limit is not None

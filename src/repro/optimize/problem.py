@@ -11,7 +11,9 @@ Both compile to 0/1 integer programs through
 :class:`~repro.optimize.formulation.FormulationBuilder` and solve with
 any registered backend, returning an
 :class:`~repro.optimize.deployment.OptimizationResult` whose utility is
-re-evaluated with the reference metrics.
+re-evaluated with the reference metrics.  A max-utility budget that
+affords the utility ceiling is answered without a solver
+(:mod:`repro.optimize.ceiling`).
 """
 
 from __future__ import annotations
@@ -23,10 +25,17 @@ from repro.core.model import SystemModel
 from repro.errors import InfeasibleError, OptimizationError, SolverError
 from repro.metrics.cost import Budget
 from repro.metrics.utility import UtilityWeights, utility
+from repro.optimize.ceiling import ceiling_candidate, ceiling_deployment
 from repro.optimize.deployment import Deployment, OptimizationResult
 from repro.optimize.family import MAX_UTILITY, MIN_COST, ProblemFamily, shared_core
-from repro.optimize.formulation import FormulationBuilder
-from repro.solver import DEFAULT_CHAIN, SolveSession, solve, solve_with_fallback
+from repro.optimize.formulation import FormulationBuilder, check_budget
+from repro.solver import (
+    DEFAULT_CHAIN,
+    SolveSession,
+    check_backend,
+    solve,
+    solve_with_fallback,
+)
 from repro.solver.model import MilpModel, ObjectiveSense, SolutionStatus
 
 __all__ = ["MaxUtilityProblem", "MinCostProblem"]
@@ -94,6 +103,52 @@ class MaxUtilityProblem:
             builder.add_cardinality_constraint(self.max_monitors)
         return milp, builder
 
+    def _certified(self, backend: str | None) -> OptimizationResult | None:
+        """The proven optimum when this budget affords the utility ceiling.
+
+        Takes :func:`~repro.optimize.ceiling.ceiling_deployment` plus the
+        forced monitors; if that set fits the budget (and the cardinality
+        cap) its utility is the ceiling every deployment is bounded by,
+        so it is optimal with zero gap.  ``None`` otherwise: the caller
+        solves the ILP.  A request the ILP path rejects — a budget that
+        limits nothing, or an unknown ``backend`` (``None``: none is
+        named) — raises the same error here.
+        """
+        check_budget(self.budget)
+        if backend is not None:
+            check_backend(backend)
+        with obs.span("optimize.ceiling") as sp:
+            found = self._ceiling_selection()
+            sp.set(certified=found is not None)
+        if found is None:
+            return None
+        selected, value = found
+        obs.counter("optimize.ceiling.certified").inc()
+        return OptimizationResult(
+            deployment=Deployment.of(self.model, selected),
+            objective=value,
+            utility=value,
+            solve_seconds=sp.duration,
+            method="ceiling",
+            optimal=True,
+        )
+
+    def _ceiling_selection(self) -> tuple[frozenset[str], float] | None:
+        selected, cost = ceiling_candidate(self.model, self.weights)
+        if not self.forced_monitors <= selected:
+            if not self.forced_monitors <= self.model.monitors.keys():
+                return None  # the ILP path reports the unknown ids
+            selected = selected | self.forced_monitors
+            cost = self.model.deployment_cost(selected)
+        if not self.budget.allows(cost):
+            return None
+        if self.max_monitors is not None and len(selected) > self.max_monitors:
+            return None
+        ceiling = ceiling_deployment(self.model, self.weights)
+        if ceiling is None:
+            return None
+        return selected, ceiling.utility
+
     def solve(
         self,
         backend: str = "scipy",
@@ -106,6 +161,11 @@ class MaxUtilityProblem:
         bb_workers: int | None = None,
     ) -> OptimizationResult:
         """Solve to optimality and return the chosen deployment.
+
+        A budget that affords the utility ceiling is answered by the
+        certificate of :mod:`repro.optimize.ceiling`
+        (``method="ceiling"``) without formulating; every other budget
+        is solved by ``backend``.
 
         ``presolve`` routes the ILP through the exact reduction pipeline
         first; ``session`` (which implies its own presolve setting,
@@ -123,6 +183,9 @@ class MaxUtilityProblem:
             monitors exceeding it — the empty deployment is otherwise
             always feasible).
         """
+        certified = self._certified(backend if session is None else None)
+        if certified is not None:
+            return certified
         with obs.span("optimize.max_utility", backend=backend) as sp:
             with obs.span("optimize.formulate"):
                 milp, builder = self.build()
@@ -184,6 +247,9 @@ class MaxUtilityProblem:
     ) -> OptimizationResult:
         """Solve through the backend fallback chain, greedy as last resort.
 
+        A budget that affords the utility ceiling is answered by the
+        certificate, as in :meth:`solve`.
+
         Exact backends are tried in ``backends`` order via
         :func:`repro.solver.solve_with_fallback`; the answering backend
         and the number of rescued/failed attempts land in ``stats``
@@ -204,6 +270,9 @@ class MaxUtilityProblem:
         repro.errors.SolverError
             If every backend errors and greedy cannot stand in.
         """
+        certified = self._certified(None)
+        if certified is not None:
+            return certified
         with obs.span(
             "optimize.max_utility_fallback", backends=",".join(backends)
         ) as sp:

@@ -370,6 +370,8 @@ class SolveService:
         self._pending_per_tenant: dict[str, int] = {}
         self._running_per_tenant: dict[str, int] = {}
         self._inflight: dict[tuple[str, str], JobHandle] = {}
+        #: Cache-entry keys a running batch holds (see ``_admissible``).
+        self._held: set[tuple] = set()
         self._cond: asyncio.Condition | None = None
         self._workers: list[asyncio.Task[None]] = []
         self._running_batches = 0
@@ -568,9 +570,12 @@ class SolveService:
             cond.notify_all()
 
     def _admissible(self, handle: JobHandle) -> bool:
+        """Whether a worker may start ``handle`` now: its tenant is under
+        its running bound and no running batch holds its cache entry (a
+        worker taking it would only block on the entry lock)."""
         policy = self.config.policy_for(handle.request.tenant)
         running = self._running_per_tenant.get(handle.request.tenant, 0)
-        return running < policy.max_running
+        return running < policy.max_running and self._entry_key(handle) not in self._held
 
     def _entry_key(self, handle: JobHandle) -> tuple:
         """The session-cache key a job will check out (batching key)."""
@@ -589,11 +594,12 @@ class SolveService:
         """Pop the next admissible job plus its family cohort (or None).
 
         Caller holds the condition lock.  Head-of-line skip: a job
-        whose tenant is at its running bound does not block other
-        tenants' jobs behind it.  The cohort is every later pending job
-        sharing the head job's cache-entry key — they run back-to-back
-        in one slot against one warm family, preserving per-job results
-        exactly (each job is still its own solve).
+        whose tenant is at its running bound, or whose cache entry a
+        running batch holds, does not block other jobs behind it.  The
+        cohort is every later pending job sharing the head job's
+        cache-entry key — they run back-to-back in one slot against one
+        warm family, preserving per-job results exactly (each job is
+        still its own solve).
         """
         head = None
         for candidate in self._pending:
@@ -620,6 +626,7 @@ class SolveService:
             h.status = JobStatus.RUNNING
             self._note_unqueued(h, running=True)
         self._running_per_tenant[tenant] = self._running_per_tenant.get(tenant, 0) + 1
+        self._held.add(key)
         self._running_batches += 1
         self._publish_queue_depth()
         obs.histogram("service.batch_size", _BATCH_BUCKETS).observe(float(len(batch)))
@@ -627,6 +634,7 @@ class SolveService:
 
     async def _worker(self) -> None:
         cond = self._condition()
+        loop = asyncio.get_running_loop()
         while True:
             async with cond:
                 await cond.wait_for(
@@ -639,24 +647,28 @@ class SolveService:
             if batch is None:
                 continue
             try:
-                outcomes = await asyncio.to_thread(self._run_batch, batch)
+                await asyncio.to_thread(self._run_batch, batch, loop)
             finally:
                 tenant = batch[0].request.tenant
                 async with cond:
                     self._running_per_tenant[tenant] = max(
                         0, self._running_per_tenant.get(tenant, 0) - 1
                     )
+                    self._held.discard(self._entry_key(batch[0]))
                     self._running_batches -= 1
                     cond.notify_all()
-            for handle, result in outcomes:
-                self._finish(handle, result)
 
     # -- execution (worker thread) -----------------------------------------
 
     def _run_batch(
-        self, batch: list[JobHandle]
-    ) -> list[tuple[JobHandle, JobResult]]:
-        """Execute a batch against one warm cache entry, job by job."""
+        self, batch: list[JobHandle], loop: asyncio.AbstractEventLoop
+    ) -> None:
+        """Execute a batch against one warm cache entry, job by job.
+
+        Each job's handle resolves on ``loop`` as soon as that job ends,
+        not when the whole batch does: a slow job at the head of a batch
+        does not hold back the answers of the cheap jobs behind it.
+        """
         head = batch[0].request
         model = self._resolve_model(head)
         entry = self.sessions.checkout(
@@ -668,12 +680,10 @@ class SolveService:
             presolve=self.config.presolve,
             bb_workers=self.config.bb_workers,
         )
-        outcomes: list[tuple[JobHandle, JobResult]] = []
         with entry.lock:
             for handle in batch:
-                outcomes.append((handle, self._run_job(entry, handle)))
+                loop.call_soon_threadsafe(self._finish, handle, self._run_job(entry, handle))
         self.sessions.note_bytes(entry)
-        return outcomes
 
     def _run_job(self, entry: CacheEntry, handle: JobHandle) -> JobResult:
         request = handle.request

@@ -81,6 +81,7 @@ __all__ = [
     "solve_scipy_milp",
     "model_to_lp_string",
     "BACKENDS",
+    "check_backend",
 ]
 
 #: Registered backend names accepted by :func:`solve`.
@@ -132,6 +133,7 @@ def solve(
         bit-identical at any value — this is a throughput knob, never a
         semantics knob.
     """
+    check_backend(backend)
     if presolve:
         from repro.solver.presolve import solve_presolved as _solve_presolved
 
@@ -158,13 +160,17 @@ def solve(
         return solve_branch_and_bound(model, time_limit=time_limit, **kwargs)
     if backend == "enumeration":
         return solve_by_enumeration(model)
-    if backend == "fallback":
-        return solve_with_fallback(
-            model,
-            DEFAULT_CHAIN,
-            time_limit=time_limit,
-            max_nodes=max_nodes,
-            gap=gap,
-            bb_workers=bb_workers,
-        ).solution
-    raise SolverError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    return solve_with_fallback(  # "fallback", the last registered name
+        model,
+        DEFAULT_CHAIN,
+        time_limit=time_limit,
+        max_nodes=max_nodes,
+        gap=gap,
+        bb_workers=bb_workers,
+    ).solution
+
+
+def check_backend(backend: str) -> None:
+    """Raise :class:`SolverError` unless ``backend`` is one of :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise SolverError(f"unknown backend {backend!r}; expected one of {BACKENDS}")

@@ -27,9 +27,11 @@ the full feasible set except dominated-column elimination, which
 preserves at least one optimal solution (the proof is the classic swap
 argument, spelled out at :func:`_eliminate_dominated_columns`).
 Solutions of the reduced model lift back through
-:meth:`PresolveResult.lift_solution` with the objective untouched — the
-reduced model's objective carries the fixed variables' contribution in
-its constant term, so backends already report the full-model objective.
+:meth:`PresolveResult.lift_solution`, which re-evaluates the objective
+on the original compiled form as ``c @ x`` — the sum every exact backend
+reports — so a presolved solve reports the same bits as the unreduced
+solve of the same assignment (the reduced model's constant term carries
+the same value, summed in another order).
 
 The reducer works on **CSR matrices internally**, whatever compile
 flavor produced the input: one arithmetic pipeline means
@@ -155,19 +157,27 @@ class PresolveResult:
         merged.update(values)
         return {v.name: merged[v.name] for v in self.original.variables}
 
+    def objective(self, values: Mapping[str, float]) -> float:
+        """The original objective at full-space ``values``, as backends sum it."""
+        x = np.array([values[v.name] for v in self.original.variables], dtype=float)
+        return self.form.objective_in_model_sense(float(self.form.c @ x))
+
     def lift_solution(self, solution: Solution) -> Solution:
         """Lift a reduced-model :class:`Solution` to the original space.
 
-        The objective is carried over unchanged: the reduced model's
-        objective constant already includes the fixed variables'
-        contribution, so backends report the full-model value.
+        The objective is re-evaluated at the lifted values on the
+        original form (:meth:`objective`): the reduced model's constant
+        term holds the fixed variables' contribution, but summed apart
+        from the rest it can differ from the unreduced solve in the
+        last bit.
         """
         if not solution.values:
             return solution
+        values = self.lift(solution.values)
         return Solution(
             status=solution.status,
-            objective=solution.objective,
-            values=self.lift(solution.values),
+            objective=self.objective(values),
+            values=values,
             backend=solution.backend,
             nodes_explored=solution.nodes_explored,
         )
@@ -844,9 +854,7 @@ def solve_presolved(
         return Solution(SolutionStatus.INFEASIBLE, float("nan"), {}, "presolve")
     if pre.status is PresolveStatus.SOLVED:
         values = pre.lift({})
-        return Solution(
-            SolutionStatus.OPTIMAL, model.objective_value(values), values, "presolve"
-        )
+        return Solution(SolutionStatus.OPTIMAL, pre.objective(values), values, "presolve")
     assert pre.reduced is not None
     solution = solve(
         pre.reduced,

@@ -294,7 +294,7 @@ class SolveSession:
                     values = pre.lift({})
                     solution = Solution(
                         SolutionStatus.OPTIMAL,
-                        model.objective_value(values),
+                        pre.objective(values),
                         values,
                         "presolve",
                     )

@@ -4,7 +4,8 @@ Besides the hand-checkable toy model and the case study, this module
 owns the small MILP factories (`knapsack_model`, `set_cover_model`,
 `wide_knapsack_model`, `random_binary_model`) that used to be
 copy-pasted across ``tests/solver`` and ``tests/faults`` — import them
-as ``from tests.conftest import knapsack_model``.
+as ``from tests.conftest import knapsack_model`` — and `plateau_fraction`,
+the budget fraction at which max-utility solves start being certified.
 
 It also gates the ``nightly`` marker: nightly-marked tests are skipped
 unless ``REPRO_NIGHTLY`` is set in the environment, so the tier-1 run
@@ -20,6 +21,8 @@ import pytest
 
 from repro.casestudy import enterprise_web_service
 from repro.core import AssetKind, ModelBuilder, MonitorScope, SystemModel
+from repro.metrics.utility import UtilityWeights
+from repro.optimize.ceiling import ceiling_deployment
 from repro.solver import MilpModel, ObjectiveSense
 
 
@@ -110,6 +113,20 @@ def random_binary_model(seed: int) -> MilpModel:
     obj_coefs = rng.normal(size=n)
     model.set_objective(sum(float(k) * v for k, v in zip(obj_coefs, xs)))
     return model
+
+
+def plateau_fraction(model: SystemModel, weights: UtilityWeights | None = None) -> float:
+    """Where the budget plateau starts, as a share of the total cost.
+
+    The largest per-dimension share of the all-monitors cost that the
+    ceiling deployment spends: ``Budget.fraction_of_total`` budgets at or
+    above it are answered by the certificate, budgets below it reach the
+    solver.  Tests that must exercise the solver pick fractions below it.
+    """
+    ceiling = ceiling_deployment(model, weights)
+    assert ceiling is not None, "no ceiling deployment was certified"
+    total = model.total_cost()
+    return max(ceiling.cost.get(dim) / total.get(dim) for dim in total.dimensions)
 
 
 def build_toy_builder() -> ModelBuilder:

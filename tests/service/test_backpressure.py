@@ -9,6 +9,7 @@ wall-clock sleeps.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -163,6 +164,74 @@ class TestDeadlines:
             # The surviving job saw its remaining budget, not the full one.
             assert alive_result.ok
             assert alive_result.deadline_remaining == 490.0
+            await service.aclose()
+
+        run(scenario)
+
+
+def hold_job(service, job_id):
+    """Make ``job_id`` block in its worker thread until released.
+
+    Returns ``(entered, release)`` events: ``entered`` is set once the
+    held job is executing (with its cache entry locked).
+    """
+    entered, release = threading.Event(), threading.Event()
+    dispatch = service._dispatch
+
+    def held(entry, req, policy):
+        if req.job_id == job_id:
+            entered.set()
+            release.wait(30)
+        return dispatch(entry, req, policy)
+
+    service._dispatch = held
+    return entered, release
+
+
+class TestBatchScheduling:
+    def test_finished_job_resolves_while_a_later_batched_job_runs(self, toy_model):
+        async def scenario():
+            service = SolveService(ServiceConfig(workers=1))
+            _entered, release = hold_job(service, "held")
+            # Queued before the worker starts, so both ride one batch.
+            first = service.submit(request(toy_model, fraction=0.2, job_id="first"))
+            held = service.submit(request(toy_model, fraction=0.4, job_id="held"))
+            await service.start()
+            try:
+                result = await asyncio.wait_for(asyncio.shield(first.future), 10)
+                assert result.ok
+                assert not held.done
+            finally:
+                release.set()
+            assert (await held).ok
+            await service.aclose()
+
+        run(scenario)
+
+    def test_other_tenant_runs_while_an_entry_is_held(self, toy_model):
+        async def scenario():
+            service = SolveService(ServiceConfig(workers=2))
+            entered, release = hold_job(service, "a-held")
+            await service.start()
+            try:
+                a_held = service.submit(
+                    request(toy_model, tenant="a", fraction=0.2, job_id="a-held")
+                )
+                assert await asyncio.to_thread(entered.wait, 10)
+                # Same tenant and cache entry as the held job, under the
+                # tenant's running bound: it must wait for the entry
+                # rather than take the second worker and block on it.
+                a_next = service.submit(
+                    request(toy_model, tenant="a", fraction=0.4, job_id="a-next")
+                )
+                await asyncio.sleep(0.05)
+                b = service.submit(request(toy_model, tenant="b", fraction=0.4, job_id="b"))
+                result = await asyncio.wait_for(asyncio.shield(b.future), 10)
+                assert result.ok
+                assert not a_held.done and not a_next.done
+            finally:
+                release.set()
+            assert (await a_held).ok and (await a_next).ok
             await service.aclose()
 
         run(scenario)

@@ -201,6 +201,24 @@ def test_redundant_row_dropped():
     assert warm.objective == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("topology", ["flat", "multizone"])
+@pytest.mark.parametrize("seed", range(2, 7))
+def test_presolved_objective_is_bit_equal_to_the_unreduced_solve(seed, topology):
+    """Same assignment, same objective bits: the lifted objective is summed
+    on the original form, not as the reduced constant plus the rest."""
+    from repro.casestudy.scaling import ScalingConfig, synthetic_model
+    from repro.metrics.cost import Budget
+    from repro.optimize.problem import MaxUtilityProblem
+
+    model = synthetic_model(ScalingConfig(monitors=60, attacks=30, seed=seed, topology=topology))
+    milp, _ = MaxUtilityProblem(model, Budget.fraction_of_total(model, 0.25)).build()
+    assert presolve(milp).stats.columns_after < milp.num_variables
+    cold = solve(milp, "scipy")
+    warm = solve(milp, "scipy", presolve=True)
+    assert warm.values == cold.values
+    assert warm.objective.hex() == cold.objective.hex()
+
+
 def test_lift_solution_preserves_backend_and_status():
     model = MilpModel("lifted", ObjectiveSense.MAXIMIZE)
     x = model.binary("x")

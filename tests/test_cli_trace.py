@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.core import save_model
 from repro.obs import load_trace
+from tests.conftest import plateau_fraction
 
 
 @pytest.fixture()
@@ -17,14 +18,19 @@ def toy_model_file(toy_model, tmp_path):
 
 
 @pytest.fixture()
-def sweep_trace(toy_model_file, tmp_path, capsys):
-    """A trace file captured from a parallel budget sweep."""
+def sweep_trace(toy_model, toy_model_file, tmp_path, capsys):
+    """A trace file captured from a parallel budget sweep.
+
+    Every fraction lies below the utility-ceiling plateau (the toy
+    model's starts at the full cost), so each point runs a real solve.
+    """
+    top = 0.9 * plateau_fraction(toy_model)
     path = tmp_path / "trace.json"
     code = main(
         [
             "sweep",
             "--model", str(toy_model_file),
-            "--fractions", "0.3,0.6,1.0",
+            "--fractions", f"0.3,0.6,{top}",
             "--workers", "2",
             "--trace", str(path),
         ]
@@ -57,6 +63,25 @@ class TestTraceCapture:
         assert metrics["counters"]["solver.solves"] >= 3.0
         assert metrics["counters"]["parallel.tasks"] == 3.0
         assert metrics["histograms"]["solver.solve_seconds"]["count"] >= 3
+
+    def test_full_budget_point_is_certified_without_a_solve(
+        self, toy_model_file, tmp_path, capsys
+    ):
+        path = tmp_path / "full.json"
+        assert main(
+            [
+                "sweep",
+                "--model", str(toy_model_file),
+                "--fractions", "1.0",
+                "--trace", str(path),
+            ]
+        ) == 0
+        payload = load_trace(path)
+        counters = payload["metrics"]["counters"]
+        assert counters["optimize.ceiling.certified"] == 1.0
+        assert "solver.solves" not in counters
+        spans = [e for e in payload["traceEvents"] if e["name"] == "optimize.ceiling"]
+        assert [e["args"]["certified"] for e in spans] == [True]
 
     def test_untraced_run_writes_nothing(self, toy_model_file, tmp_path, capsys):
         assert main(
@@ -109,6 +134,21 @@ class TestStats:
         assert main(["stats", str(path)]) == 0
         out = capsys.readouterr().out
         assert "cache hit rate: 75.0% (3 hits / 4 lookups, 0 evictions)" in out
+
+    def test_solver_runs_and_certified_answers_are_shown_apart(self, tmp_path, capsys):
+        snapshot = {
+            "counters": {"solver.solves": 4.0, "optimize.ceiling.certified": 9.0},
+            "gauges": {},
+            "histograms": {},
+        }
+        path = tmp_path / "snapshot.json"
+        path.write_text(json.dumps(snapshot))
+        assert main(["stats", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "answers: 4 solver run(s), 9 certified at the utility ceiling without a solver"
+            in out
+        )
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope.json")]) == 2
